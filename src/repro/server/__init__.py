@@ -29,55 +29,46 @@ Run one with ``python -m repro serve --port 8472 --jobs 4 --cache-dir .cache``
 (see docs/server.md for deployment and scaling notes).
 """
 
-from repro.server.client import (
-    ClientError,
-    JobCancelled,
-    JobFailed,
-    RemoteError,
-    RemoteJob,
-    ResultNotReady,
-    ServerClient,
-)
-from repro.server.http import DEFAULT_PORT, AnalysisServer
-from repro.server.queue import JobQueue, QueueFull, Scheduler, SchedulerClosed
-from repro.server.wire import (
-    LANES,
-    ProjectSpec,
-    ServerError,
-    ServerEvent,
-    ServerJobStatus,
-    ServerStats,
-    ServerSubmit,
-    ServerSubmitReply,
-    WireError,
-    request_digest,
-)
-from repro.server.workers import DEFAULT_JOB_TIMEOUT, WorkerPool
+import importlib
 
-__all__ = [
-    "AnalysisServer",
-    "ClientError",
-    "DEFAULT_JOB_TIMEOUT",
-    "DEFAULT_PORT",
-    "JobCancelled",
-    "JobFailed",
-    "JobQueue",
-    "LANES",
-    "QueueFull",
-    "ProjectSpec",
-    "RemoteError",
-    "RemoteJob",
-    "ResultNotReady",
-    "Scheduler",
-    "SchedulerClosed",
-    "ServerClient",
-    "ServerError",
-    "ServerEvent",
-    "ServerJobStatus",
-    "ServerStats",
-    "ServerSubmit",
-    "ServerSubmitReply",
-    "WireError",
-    "WorkerPool",
-    "request_digest",
-]
+# Public names, re-exported lazily (PEP 562): importing one submodule — say
+# ``repro.server.wire`` for a local ``repro analyze`` — must not drag in the
+# HTTP stack, sockets and worker processes of the others.
+_EXPORTS = {
+    "ClientError": "client",
+    "JobCancelled": "client",
+    "JobFailed": "client",
+    "RemoteError": "client",
+    "RemoteJob": "client",
+    "ResultNotReady": "client",
+    "ServerClient": "client",
+    "AnalysisServer": "http",
+    "DEFAULT_PORT": "http",
+    "JobQueue": "queue",
+    "QueueFull": "queue",
+    "Scheduler": "queue",
+    "SchedulerClosed": "queue",
+    "LANES": "wire",
+    "ProjectSpec": "wire",
+    "ServerError": "wire",
+    "ServerEvent": "wire",
+    "ServerJobStatus": "wire",
+    "ServerStats": "wire",
+    "ServerSubmit": "wire",
+    "ServerSubmitReply": "wire",
+    "WireError": "wire",
+    "request_digest": "wire",
+    "DEFAULT_JOB_TIMEOUT": "workers",
+    "WorkerPool": "workers",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

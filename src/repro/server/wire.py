@@ -188,8 +188,21 @@ def _dump_analysis_options(options: AnalysisOptions) -> Dict[str, Any]:
     return _envelope("AnalysisOptions", dict(vars(options)))
 
 
+#: Values of the removed ``ilp_backend`` knob that older payloads may carry.
+#: Both always solved with the in-tree simplex, which is now the only solver,
+#: so the key is dropped; any other value ("scipy") is rejected rather than
+#: silently re-interpreted.
+_LEGACY_ILP_BACKENDS = ("auto", "simplex")
+
+
 def _load_analysis_options(data: Dict[str, Any]) -> AnalysisOptions:
     payload = {k: v for k, v in data.items() if k not in ("schema", "kind")}
+    backend = payload.pop("ilp_backend", "simplex")
+    if backend not in _LEGACY_ILP_BACKENDS:
+        raise SchemaError(
+            f"serialised AnalysisOptions asks for ilp_backend={backend!r}; "
+            "the in-tree simplex is the only LP solver"
+        )
     try:
         return AnalysisOptions(**payload)
     except TypeError as exc:

@@ -1,8 +1,8 @@
 """Path analysis and the top-level WCET analyzer (Figure 1 end-to-end).
 
 * :mod:`repro.wcet.simplex` / :mod:`repro.wcet.ilp` — a self-contained linear
-  and integer-linear programming solver (with an optional scipy backend) used
-  by the IPET path analysis;
+  and integer-linear programming solver, the only one the IPET path analysis
+  uses;
 * :mod:`repro.wcet.ipet` — the Implicit Path Enumeration Technique: block and
   edge frequency variables, structural flow conservation, loop-bound and
   annotation constraints, maximisation of total execution time;

@@ -1,12 +1,9 @@
 """Integer linear programming front end for the IPET path analysis.
 
 :class:`ILPProblem` provides a small modelling layer (named variables, linear
-constraints, maximise/minimise) and solves through either
-
-* the self-contained two-phase simplex of :mod:`repro.wcet.simplex`, or
-* scipy's ``linprog`` (HiGHS) when available (default),
-
-wrapped in a classic branch-and-bound loop for integrality.  IPET systems are
+constraints, maximise/minimise) and solves it with the self-contained
+two-phase simplex of :mod:`repro.wcet.simplex` — the only LP solver — wrapped
+in a classic branch-and-bound loop for integrality.  IPET systems are
 network-flow-like and almost always have integral LP relaxations, so the
 branch-and-bound loop usually terminates after the root relaxation; it exists
 so that extra annotation constraints (which can break total unimodularity)
@@ -21,18 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleILPError, PathAnalysisError, UnboundedILPError
 from repro.wcet import simplex
-
-try:  # scipy is an optional (but normally installed) backend
-    from scipy.optimize import linprog as _scipy_linprog  # type: ignore
-except Exception:  # pragma: no cover - exercised only without scipy
-    _scipy_linprog = None
-
-#: Problems with at most this many variables are solved by the in-tree sparse
-#: simplex under the "auto" backend: IPET systems of this size solve in well
-#: under a millisecond there, while scipy's linprog spends multiples of that
-#: on input validation and option handling alone.  Larger systems go to HiGHS,
-#: whose constant factor amortises.
-_AUTO_SIMPLEX_MAX_VARIABLES = 400
 
 
 class LinearExpression:
@@ -97,7 +82,7 @@ class ILPSolution:
     status: str = "optimal"
     #: Number of branch-and-bound nodes explored (1 = integral root relaxation).
     nodes: int = 1
-    #: Simplex pivots spent producing this solution (0 for the scipy backend).
+    #: Simplex pivots spent producing this solution.
     pivots: int = 0
 
     def value(self, variable: str) -> float:
@@ -167,16 +152,13 @@ class ILPProblem:
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
-    def solve(self, backend: str = "auto", integer: bool = True) -> ILPSolution:
+    def solve(self, integer: bool = True) -> ILPSolution:
         """Solve the problem.
 
-        ``backend`` is one of ``"auto"`` (scipy if present, else simplex),
-        ``"scipy"`` or ``"simplex"``.  ``integer=False`` returns the LP
-        relaxation (useful for tests and diagnostics).
+        ``integer=False`` returns the LP relaxation (useful for tests and
+        diagnostics).
         """
-        backend = self._resolve_backend(backend)
-
-        relaxed = self._solve_relaxation(backend, extra_bounds={})
+        relaxed = self._solve_relaxation(extra_bounds={})
         if not integer:
             return relaxed
 
@@ -200,7 +182,7 @@ class ILPProblem:
                 solution = presolved
             else:
                 try:
-                    solution = self._solve_relaxation(backend, extra_bounds=extra)
+                    solution = self._solve_relaxation(extra_bounds=extra)
                     total_pivots += solution.pivots
                 except InfeasibleILPError:
                     continue
@@ -246,15 +228,6 @@ class ILPProblem:
         return best
 
     # ------------------------------------------------------------------ #
-    def _resolve_backend(self, backend: str) -> str:
-        if backend == "auto":
-            if _scipy_linprog is None or len(self._order) <= _AUTO_SIMPLEX_MAX_VARIABLES:
-                return "simplex"
-            return "scipy"
-        if backend == "scipy" and _scipy_linprog is None:
-            raise PathAnalysisError("scipy backend requested but scipy is unavailable")
-        return backend
-
     def _default_bounds(self) -> List[Tuple[float, Optional[float]]]:
         return [
             (self._variables[variable][0], self._variables[variable][1])
@@ -288,7 +261,7 @@ class ILPProblem:
         return None
 
     def _solve_relaxation(
-        self, backend: str, extra_bounds: Dict[str, Tuple[float, Optional[float]]]
+        self, extra_bounds: Dict[str, Tuple[float, Optional[float]]]
     ) -> ILPSolution:
         order = self._order
         index = {variable: position for position, variable in enumerate(order)}
@@ -309,64 +282,26 @@ class ILPProblem:
                     upper = min(upper, extra_upper)
             bounds.append((lower, upper))
 
-        if backend == "scipy":
-            return self._solve_scipy_dense(objective, index, bounds)
-        return self._solve_simplex_sparse(objective, index, bounds)
-
-    def _solve_scipy_dense(self, objective, index, bounds) -> ILPSolution:
-        order = self._order
-        a_ub: List[List[float]] = []
-        b_ub: List[float] = []
-        a_eq: List[List[float]] = []
-        b_eq: List[float] = []
-
-        def row_of(expression: LinearExpression) -> List[float]:
-            row = [0.0] * len(order)
-            for variable, coefficient in expression.terms.items():
-                row[index[variable]] = coefficient
-            return row
-
-        for constraint in self.constraints:
-            row = row_of(constraint.expression)
-            bound = constraint.bound - constraint.expression.constant
-            if constraint.relation == "<=":
-                a_ub.append(row)
-                b_ub.append(bound)
-            elif constraint.relation == ">=":
-                a_ub.append([-value for value in row])
-                b_ub.append(-bound)
-            else:
-                a_eq.append(row)
-                b_eq.append(bound)
-        return self._solve_scipy(objective, a_ub, b_ub, a_eq, b_eq, bounds)
-
-    # ------------------------------------------------------------------ #
-    def _solve_scipy(self, objective, a_ub, b_ub, a_eq, b_eq, bounds) -> ILPSolution:
-        sign = -1.0 if self.maximise else 1.0
-        result = _scipy_linprog(
-            c=[sign * value for value in objective],
-            A_ub=a_ub or None,
-            b_ub=b_ub or None,
-            A_eq=a_eq or None,
-            b_eq=b_eq or None,
-            bounds=bounds,
-            method="highs",
+        a_ub, b_ub, a_eq, b_eq = self._sparse_system(index, bounds)
+        result = simplex.solve_sparse_lp(
+            objective, a_ub, b_ub, a_eq, b_eq,
+            maximise=self.maximise, engine=self.engine,
         )
-        if result.status == 2:
+        if result.status == "infeasible":
             raise InfeasibleILPError(f"{self.name}: path analysis ILP is infeasible")
-        if result.status == 3:
+        if result.status == "unbounded":
             raise UnboundedILPError(
                 f"{self.name}: path analysis ILP is unbounded — some loop has no "
                 "iteration bound constraint"
             )
-        if not result.success:
-            raise PathAnalysisError(f"{self.name}: LP solver failed: {result.message}")
         values = {
-            variable: float(value) for variable, value in zip(self._order, result.x)
+            variable: float(value)
+            for variable, value in zip(self._order, result.values or [])
         }
         return ILPSolution(
-            objective=self.objective.evaluate(values) ,
+            objective=self.objective.evaluate(values),
             values=values,
+            pivots=result.pivots,
         )
 
     def _sparse_system(self, index, bounds):
@@ -400,55 +335,30 @@ class ILPProblem:
                 b_ub.append(upper)
         return a_ub, b_ub, a_eq, b_eq
 
-    def _solve_simplex_sparse(self, objective, index, bounds) -> ILPSolution:
-        """Hand constraint rows to the bespoke sparse/dense-row simplex."""
-        a_ub, b_ub, a_eq, b_eq = self._sparse_system(index, bounds)
-        result = simplex.solve_sparse_lp(
-            objective, a_ub, b_ub, a_eq, b_eq,
-            maximise=self.maximise, engine=self.engine,
-        )
-        if result.status == "infeasible":
-            raise InfeasibleILPError(f"{self.name}: path analysis ILP is infeasible")
-        if result.status == "unbounded":
-            raise UnboundedILPError(
-                f"{self.name}: path analysis ILP is unbounded — some loop has no "
-                "iteration bound constraint"
-            )
-        values = {
-            variable: float(value)
-            for variable, value in zip(self._order, result.values or [])
-        }
-        return ILPSolution(
-            objective=self.objective.evaluate(values),
-            values=values,
-            pivots=result.pivots,
-        )
 
-
-def solve_ilp(problem: ILPProblem, backend: str = "auto") -> ILPSolution:
+def solve_ilp(problem: ILPProblem) -> ILPSolution:
     """Convenience wrapper around :meth:`ILPProblem.solve`."""
-    return problem.solve(backend=backend)
+    return problem.solve()
 
 
 def solve_ilp_pair(
-    first: ILPProblem, second: ILPProblem, backend: str = "auto"
+    first: ILPProblem, second: ILPProblem
 ) -> Tuple[ILPSolution, ILPSolution]:
     """Solve two ILPs that share variables, bounds and constraints.
 
     The IPET path analysis solves each function's constraint system twice —
     maximise for the WCET bound, minimise for the BCET bound.  Phase 1 of the
     two-phase simplex (finding a feasible basis) never inspects the
-    objective, so under the bespoke backend it runs once and both phase-2
-    optimisations start from the same prepared tableau, giving bit-identical
-    results to two independent solves at roughly half the pivot count.
+    objective, so it runs once and both phase-2 optimisations start from the
+    same prepared tableau, giving bit-identical results to two independent
+    solves at roughly half the pivot count.
 
-    Falls back to two independent solves for the scipy backend, for problems
-    whose systems differ, or when a root relaxation turns out fractional
-    (then full branch-and-bound handles that objective).
+    Falls back to two independent solves for problems whose systems differ,
+    or when a root relaxation turns out fractional (then full branch-and-bound
+    handles that objective).
     """
-    resolved = first._resolve_backend(backend)
-    if resolved != "simplex" or first._system_signature() != second._system_signature():
-        return first.solve(backend=backend), second.solve(backend=backend)
+    if first._system_signature() != second._system_signature():
+        return first.solve(), second.solve()
 
     order = first._order
     index = {variable: position for position, variable in enumerate(order)}
@@ -489,7 +399,7 @@ def solve_ilp_pair(
         )
         if problem._first_fractional(relaxed) is not None:
             # Rare: hand this objective to the full branch-and-bound.
-            solutions.append(problem.solve(backend="simplex"))
+            solutions.append(problem.solve())
             continue
         rounded = {
             variable: float(round(value)) for variable, value in values.items()

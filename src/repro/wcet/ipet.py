@@ -50,7 +50,7 @@ class PathAnalysisResult:
     block_counts: Dict[int, int] = field(default_factory=dict)
     edge_counts: Dict[Tuple[int, int], int] = field(default_factory=dict)
     ilp_nodes: int = 1
-    #: Simplex pivots spent on this objective (0 for the scipy backend).
+    #: Simplex pivots spent on this objective.
     ilp_pivots: int = 0
 
     def count_of(self, block_id: int) -> int:
@@ -227,7 +227,6 @@ class IPETBuilder:
         infeasible_edges: Iterable[Tuple[int, int]] = (),
         flow_constraints: Sequence[ResolvedFlowConstraint] = (),
         maximise: bool = True,
-        backend: str = "auto",
     ) -> PathAnalysisResult:
         problem = self.build(
             block_weights,
@@ -238,16 +237,9 @@ class IPETBuilder:
             maximise=maximise,
         )
         try:
-            solution = problem.solve(backend=backend)
+            solution = problem.solve()
         except UnboundedILPError as exc:
-            unbounded = [
-                f"{loop.header:#x}" for loop in self.loops.loops
-                if loop.header not in loop_bounds
-            ]
-            raise UnboundedILPError(
-                f"{self.cfg.function_name}: the path analysis ILP is unbounded; "
-                f"loops without iteration bounds: {', '.join(unbounded) or 'unknown'}"
-            ) from exc
+            raise self._unbounded_error(loop_bounds) from exc
         return self._result_from_solution(solution, maximise)
 
     def solve_pair(
@@ -258,14 +250,13 @@ class IPETBuilder:
         infeasible_blocks: Iterable[int] = (),
         infeasible_edges: Iterable[Tuple[int, int]] = (),
         flow_constraints: Sequence[ResolvedFlowConstraint] = (),
-        backend: str = "auto",
     ) -> Tuple[PathAnalysisResult, PathAnalysisResult]:
         """Solve the WCET (maximise) and BCET (minimise) objectives together.
 
         Both objectives run over the identical constraint system, so the
-        bespoke simplex backend shares one phase-1 feasibility basis between
-        them (see :func:`repro.wcet.ilp.solve_ilp_pair`); results are
-        identical to two separate :meth:`solve` calls.
+        simplex shares one phase-1 feasibility basis between them (see
+        :func:`repro.wcet.ilp.solve_ilp_pair`); results are identical to two
+        separate :meth:`solve` calls.
         """
         infeasible_blocks = tuple(infeasible_blocks)
         infeasible_edges = tuple(infeasible_edges)
@@ -286,21 +277,22 @@ class IPETBuilder:
             maximise=False,
         )
         try:
-            wcet_solution, bcet_solution = solve_ilp_pair(
-                wcet_problem, bcet_problem, backend=backend
-            )
+            wcet_solution, bcet_solution = solve_ilp_pair(wcet_problem, bcet_problem)
         except UnboundedILPError as exc:
-            unbounded = [
-                f"{loop.header:#x}" for loop in self.loops.loops
-                if loop.header not in loop_bounds
-            ]
-            raise UnboundedILPError(
-                f"{self.cfg.function_name}: the path analysis ILP is unbounded; "
-                f"loops without iteration bounds: {', '.join(unbounded) or 'unknown'}"
-            ) from exc
+            raise self._unbounded_error(loop_bounds) from exc
         return (
             self._result_from_solution(wcet_solution, True),
             self._result_from_solution(bcet_solution, False),
+        )
+
+    def _unbounded_error(self, loop_bounds: Dict[int, int]) -> UnboundedILPError:
+        unbounded = [
+            f"{loop.header:#x}" for loop in self.loops.loops
+            if loop.header not in loop_bounds
+        ]
+        return UnboundedILPError(
+            f"{self.cfg.function_name}: the path analysis ILP is unbounded; "
+            f"loops without iteration bounds: {', '.join(unbounded) or 'unknown'}"
         )
 
     def _result_from_solution(

@@ -1,10 +1,11 @@
 """A small, dependency-free two-phase simplex solver over sparse rows.
 
-The IPET path analysis produces linear programs with a few dozen variables; we
-solve them either with this solver or with scipy's ``linprog`` (HiGHS) backend
-(:mod:`repro.wcet.ilp` chooses).  Having our own implementation keeps the
-library usable without scipy and gives the test-suite a second, independent
-solver to cross-check against.
+The IPET path analysis produces linear programs with a few dozen variables;
+this is the only solver it uses (:mod:`repro.wcet.ilp` wraps it in
+branch-and-bound).  At that size it finishes well under a millisecond, and
+keeping it in-tree means the analyzer never imports numpy or scipy.  The
+test-suite cross-checks it against scipy's ``linprog`` (HiGHS), which is a
+test-time reference only.
 
 The solver handles problems of the form::
 

@@ -26,6 +26,8 @@ from repro.wcet import simplex
 from repro.wcet.ilp import ILPProblem, LinearExpression, solve_ilp_pair
 from repro.workloads import flight_control
 
+from lp_reference import assert_agrees_with_linprog
+
 
 NESTED_LOOPS = """
 int work(int n) {
@@ -148,16 +150,15 @@ class TestSparseSimplex:
 
     def test_simplex_matches_scipy_backend(self):
         for maximise in (True, False):
-            expected = self._problem(maximise).solve(backend="scipy")
-            actual = self._problem(maximise).solve(backend="simplex")
-            assert actual.objective == pytest.approx(expected.objective)
+            problem = self._problem(maximise)
+            assert_agrees_with_linprog(problem, problem.solve())
 
     def test_solve_pair_matches_independent_solves(self):
         first, second = self._problem(True), self._problem(False)
-        paired = solve_ilp_pair(first, second, backend="simplex")
+        paired = solve_ilp_pair(first, second)
         independent = (
-            self._problem(True).solve(backend="simplex"),
-            self._problem(False).solve(backend="simplex"),
+            self._problem(True).solve(),
+            self._problem(False).solve(),
         )
         for got, want in zip(paired, independent):
             assert got.objective == want.objective
@@ -167,10 +168,10 @@ class TestSparseSimplex:
         first = self._problem(True)
         second = self._problem(False)
         second.add_constraint(LinearExpression({"x": 1.0}), "<=", 3, name="extra")
-        paired = solve_ilp_pair(first, second, backend="simplex")
+        paired = solve_ilp_pair(first, second)
         reference = self._problem(False)
         reference.add_constraint(LinearExpression({"x": 1.0}), "<=", 3, name="extra")
-        expected = reference.solve(backend="simplex")
+        expected = reference.solve()
         # The second problem's extra constraint must actually bind — i.e. the
         # pair helper solved it against its own system, not the first one's.
         assert paired[1].objective == expected.objective

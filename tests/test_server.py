@@ -75,8 +75,7 @@ class TestWireRoundTrips:
         ProjectSpec(source=MINI_C, annotations="recursion f 4\n", name="t.c"),
         ProjectSpec(assembly=".func main\n    halt", processor="hcs12x"),
         AnalysisOptions(),
-        AnalysisOptions(ilp_backend="simplex", compute_bcet=False,
-                        max_contexts_per_function=3),
+        AnalysisOptions(compute_bcet=False, max_contexts_per_function=3),
         AnalysisRequest(),
         AnalysisRequest(entry="task", mode="air", error_scenario="single_fault",
                         options=AnalysisOptions(strict_indirect=False),
@@ -136,6 +135,19 @@ class TestWireRoundTrips:
         payload = to_json(AnalysisOptions())
         payload["warp_speed"] = True
         with pytest.raises(SchemaError, match="malformed"):
+            from_json(payload)
+
+    @pytest.mark.parametrize("backend", ["auto", "simplex"])
+    def test_legacy_ilp_backend_key_is_dropped(self, backend):
+        """Pre-removal payloads named a backend that always ran the simplex."""
+        payload = to_json(AnalysisOptions(compute_bcet=False))
+        payload["ilp_backend"] = backend
+        assert from_json(payload) == AnalysisOptions(compute_bcet=False)
+
+    def test_legacy_scipy_backend_rejected(self):
+        payload = to_json(AnalysisOptions())
+        payload["ilp_backend"] = "scipy"
+        with pytest.raises(SchemaError, match="ilp_backend='scipy'"):
             from_json(payload)
 
     def test_result_payload_is_plain_analysis_result(self):
@@ -589,6 +601,19 @@ class TestHTTPEndToEnd:
         with pytest.raises(RemoteError) as excinfo:
             client._call("POST", "/v1/jobs", {"schema": 1, "kind": "ServerSubmit"})
         assert excinfo.value.status == 400
+
+    def test_legacy_scipy_backend_submit_is_400(self, client):
+        payload = to_json(
+            ServerSubmit(
+                project=ProjectSpec(workload="message-handler"),
+                request=AnalysisRequest(options=AnalysisOptions()),
+            )
+        )
+        payload["request"]["options"]["ilp_backend"] = "scipy"
+        with pytest.raises(RemoteError) as excinfo:
+            client._call("POST", "/v1/jobs", payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error.error == "SchemaError"
 
     def test_submit_rejects_unknown_lane_and_processor(self, client):
         with pytest.raises(RemoteError, match="lane"):

@@ -121,23 +121,19 @@ class TestSimplexUnboundedInfeasible:
 
 
 class TestSimplexCrossCheck:
-    def test_simplex_backend_matches_auto_backend(self, counter_loop_program):
-        """The two ILP backends must agree on a real IPET system."""
+    def test_paired_solve_matches_single_solve(self, counter_loop_program):
+        """The shared-phase-1 WCET/BCET solve gives the single-solve bound."""
         from repro.wcet import AnalysisOptions
 
         processor = simple_scalar()
-        own = WCETAnalyzer(
+        paired = WCETAnalyzer(counter_loop_program, processor).analyze()
+        single = WCETAnalyzer(
             counter_loop_program,
             processor,
-            options=AnalysisOptions(ilp_backend="simplex"),
+            options=AnalysisOptions(compute_bcet=False),
         ).analyze()
-        auto = WCETAnalyzer(
-            counter_loop_program,
-            processor,
-            options=AnalysisOptions(ilp_backend="auto"),
-        ).analyze()
-        assert own.wcet_cycles == auto.wcet_cycles
-        assert own.bcet_cycles == auto.bcet_cycles
+        assert paired.wcet_cycles == single.wcet_cycles
+        assert 0 < paired.bcet_cycles <= paired.wcet_cycles
 
 
 class TestReportRendering:

@@ -27,6 +27,13 @@ from repro.wcet import (
 )
 from repro.wcet.ipet import ResolvedFlowConstraint
 
+from lp_reference import (
+    assert_agrees_with_linprog,
+    linprog_reference,
+    record_ipet_solves,
+    solve_cross_checked,
+)
+
 
 # --------------------------------------------------------------------------- #
 # ILP solver
@@ -41,6 +48,14 @@ def _knapsack_bruteforce(weights, values, capacity):
     return best
 
 
+def _solve(problem, backend, **kwargs):
+    """``"simplex"``: the in-tree solver alone; ``"scipy"``: the same solve,
+    cross-checked against scipy's linprog reference."""
+    if backend == "scipy":
+        return solve_cross_checked(problem, **kwargs)
+    return problem.solve(**kwargs)
+
+
 class TestILP:
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     def test_simple_maximisation(self, backend):
@@ -51,7 +66,7 @@ class TestILP:
         problem.set_objective_coefficient("y", 2)
         problem.add_constraint(LinearExpression({"x": 1, "y": 1}), "<=", 4)
         problem.add_constraint(LinearExpression({"x": 1}), "<=", 2)
-        solution = problem.solve(backend=backend)
+        solution = _solve(problem, backend)
         assert solution.objective == pytest.approx(10)
         assert solution.int_value("x") == 2 and solution.int_value("y") == 2
 
@@ -64,7 +79,7 @@ class TestILP:
         problem.set_objective_coefficient("b", 1)
         problem.add_constraint(LinearExpression({"a": 2, "b": 2}), "<=", 5)
         problem.add_constraint(LinearExpression({"a": 1, "b": -1}), "==", 0)
-        solution = problem.solve(backend=backend)
+        solution = _solve(problem, backend)
         assert solution.objective == pytest.approx(2)
 
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
@@ -75,7 +90,7 @@ class TestILP:
         problem.add_constraint(LinearExpression({"x": 1}), ">=", 5)
         problem.add_constraint(LinearExpression({"x": 1}), "<=", 2)
         with pytest.raises(InfeasibleILPError):
-            problem.solve(backend=backend)
+            _solve(problem, backend)
 
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     def test_unbounded_detected(self, backend):
@@ -83,7 +98,7 @@ class TestILP:
         problem.add_variable("x")
         problem.set_objective_coefficient("x", 1)
         with pytest.raises(UnboundedILPError):
-            problem.solve(backend=backend, integer=False)
+            _solve(problem, backend, integer=False)
 
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     def test_minimisation(self, backend):
@@ -91,7 +106,7 @@ class TestILP:
         problem.add_variable("x")
         problem.set_objective_coefficient("x", 4)
         problem.add_constraint(LinearExpression({"x": 1}), ">=", 3)
-        assert problem.solve(backend=backend).objective == pytest.approx(12)
+        assert _solve(problem, backend).objective == pytest.approx(12)
 
     @given(
         weights=st.lists(st.integers(1, 9), min_size=2, max_size=5),
@@ -110,7 +125,7 @@ class TestILP:
             problem.set_objective_coefficient(name, values[index])
             expression.add_term(name, weights[index])
         problem.add_constraint(expression, "<=", capacity)
-        solution = problem.solve(backend="scipy")
+        solution = solve_cross_checked(problem)
         assert round(solution.objective) == _knapsack_bruteforce(weights, values, capacity)
 
     def test_backends_agree_on_lp_relaxation(self):
@@ -121,8 +136,9 @@ class TestILP:
         problem.set_objective_coefficient("y", 4)
         problem.add_constraint(LinearExpression({"x": 6, "y": 4}), "<=", 24)
         problem.add_constraint(LinearExpression({"x": 1, "y": 2}), "<=", 6)
-        a = problem.solve(backend="scipy", integer=False).objective
-        b = problem.solve(backend="simplex", integer=False).objective
+        status, a = linprog_reference(problem, integer=False)
+        b = problem.solve(integer=False).objective
+        assert status == "optimal"
         assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -336,13 +352,36 @@ class TestWCETAnalyzer:
         ).analyze()
         assert sensitive.wcet_cycles < insensitive.wcet_cycles
 
-    def test_ilp_backend_simplex_gives_same_bound(self, counter_loop_program):
-        scipy_bound = WCETAnalyzer(
-            counter_loop_program, simple_scalar(),
-            options=AnalysisOptions(ilp_backend="scipy"),
-        ).analyze().wcet_cycles
-        simplex_bound = WCETAnalyzer(
-            counter_loop_program, simple_scalar(),
-            options=AnalysisOptions(ilp_backend="simplex"),
-        ).analyze().wcet_cycles
-        assert scipy_bound == simplex_bound
+    def test_ilp_backend_simplex_gives_same_bound(
+        self, counter_loop_program, monkeypatch
+    ):
+        """Every IPET optimum behind a real report matches linprog's."""
+        solves = record_ipet_solves(monkeypatch)
+        report = WCETAnalyzer(counter_loop_program, simple_scalar()).analyze()
+        assert solves
+        for problem, solution in solves:
+            assert_agrees_with_linprog(problem, solution)
+        wcet_main = [s for p, s in solves if p.name == "ipet:main:wcet"]
+        assert [round(s.objective) for s in wcet_main] == [report.wcet_cycles]
+
+
+class TestIPETMatchesLinprog:
+    @pytest.mark.parametrize("workload", ["flight-control", "message-handler"])
+    def test_workload_optima_match_linprog_on_leon2(self, workload, monkeypatch):
+        """WCET and BCET IPET optima of real workloads agree with HiGHS."""
+        from repro.api import AnalysisRequest, AnalysisService, Project
+
+        solves = record_ipet_solves(monkeypatch)
+        project = Project.from_workload(workload, processor="leon2", cache="off")
+        result = AnalysisService(project).analyze(AnalysisRequest(all_modes=True))
+        assert result.reports
+        assert {p.maximise for p, _ in solves} == {True, False}
+        for problem, solution in solves:
+            assert_agrees_with_linprog(problem, solution)
+        entry = f"ipet:{project.entry}:"
+        optima = {
+            (p.name, round(s.objective)) for p, s in solves if p.name.startswith(entry)
+        }
+        for report in result.reports.values():
+            assert (entry + "wcet", report.wcet_cycles) in optima
+            assert (entry + "bcet", report.bcet_cycles) in optima
