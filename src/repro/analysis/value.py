@@ -18,7 +18,6 @@ composes per-function results bottom-up over the call graph.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -45,7 +44,6 @@ from repro.ir.instructions import (
     Sym,
 )
 from repro.ir.program import Program, STACK_SIZE, STACK_TOP, WORD_SIZE
-from repro.obs import metrics as obs_metrics
 
 
 @dataclass
@@ -168,60 +166,6 @@ class ValueAnalysisResult:
         return cached
 
 
-#: Names of the two execution engines of the analysis core.
-ENGINES = ("fused", "reference")
-
-
-def default_engine() -> str:
-    """Engine used when none is requested: ``$REPRO_ENGINE`` or ``"fused"``.
-
-    ``"fused"`` runs the block-compiled transfer kernels below (plus the
-    array-backed simplex rows in :mod:`repro.wcet.simplex`); ``"reference"``
-    runs the instruction-at-a-time closures that serve as the bit-identity
-    oracle.  Both produce identical results — CI runs the suite under each.
-    """
-    engine = os.environ.get("REPRO_ENGINE", "").strip() or "fused"
-    if engine not in ENGINES:
-        raise AnalysisError(
-            f"REPRO_ENGINE={engine!r} is not a known engine (expected one of {ENGINES})"
-        )
-    return engine
-
-
-#: Compiled per-block transfer kernels, shared process-wide and keyed by
-#: (program content digest, function name).  Kernels close over instruction
-#: operands and interned abstract constants only — everything program- or
-#: run-specific (memory resolution, access recording) is reached through the
-#: analysis instance passed at call time — so two ValueAnalysis instances
-#: over byte-identical code (different call contexts, different modes, the
-#: summary-cache replay path) reuse one compilation.  Each entry is a
-#: ``(kernels, run_counts)`` pair: a block is first interpreted through the
-#: per-instruction appliers and only compiled into a fused kernel once its
-#: program-wide run count crosses ``_KERNEL_JIT_THRESHOLD`` — CPython's
-#: ``compile()`` costs ~15µs per generated line, so eagerly compiling blocks
-#: that run two or three times is a net loss on one-shot analyses, while hot
-#: loop bodies and repeatedly-analysed functions amortise it many times over.
-_KERNEL_CACHE: Dict[Tuple[str, str], Tuple[Dict[int, object], Dict[int, int]]] = {}
-_KERNEL_CACHE_LIMIT = 4096
-_KERNEL_JIT_THRESHOLD = 8
-
-_M_COMPILES = obs_metrics.REGISTRY.counter(
-    "repro_kernel_jit_compiles_total",
-    "Basic blocks compiled into fused value-analysis kernels.",
-)
-_M_INTERPRETED = obs_metrics.REGISTRY.counter(
-    "repro_kernel_interpreted_blocks_total",
-    "Tiered-execution block runs served by the interpreter.",
-)
-
-#: Generated-source -> code-object cache.  Blocks with identical instruction
-#: shapes (constants are bound by positional name, so only the shape matters)
-#: compile once per process; each use still gets its own exec() with its own
-#: constant environment.
-_CODE_CACHE: Dict[str, object] = {}
-_CODE_CACHE_LIMIT = 16384
-
-
 class ValueAnalysis:
     """Abstract interpretation of one function.
 
@@ -251,7 +195,6 @@ class ValueAnalysis:
         assume_initial_globals: bool = False,
         widen_after: int = 2,
         max_iterations: int = 50_000,
-        engine: Optional[str] = None,
     ):
         program.ensure_layout()
         self.program = program
@@ -261,11 +204,6 @@ class ValueAnalysis:
         self.assume_initial_globals = assume_initial_globals
         self.widen_after = widen_after
         self.max_iterations = max_iterations
-        self.engine = default_engine() if engine is None else engine
-        if self.engine not in ENGINES:
-            raise AnalysisError(
-                f"unknown analysis engine {self.engine!r} (expected one of {ENGINES})"
-            )
         self._recording: Optional[Dict[int, AccessInfo]] = None
         # Per-instruction transfer closures, compiled on first use.  A block
         # is re-interpreted once per fixpoint visit (typically 10-30 times),
@@ -274,20 +212,6 @@ class ValueAnalysis:
         # itself many times over.
         self._appliers_by_block: Dict[int, list] = {}
         self._applier_by_address: Dict[int, object] = {}
-        # Fused engine: one compiled kernel per basic block, memoised on the
-        # function's content digest so repeated analyses (per-context runs,
-        # modes, cache replays) skip recompilation entirely.
-        self._kernels: Optional[Dict[int, object]] = None
-        self._kernel_runs: Optional[Dict[int, int]] = None
-        if self.engine == "fused":
-            key = (program.content_digest(), cfg.function_name)
-            entry = _KERNEL_CACHE.get(key)
-            if entry is None:
-                if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-                    _KERNEL_CACHE.clear()
-                entry = ({}, {})
-                _KERNEL_CACHE[key] = entry
-            self._kernels, self._kernel_runs = entry
 
     # ------------------------------------------------------------------ #
     # Entry state
@@ -379,32 +303,9 @@ class ValueAnalysis:
 
     def _run_block(self, block_id: int, state: AbstractState) -> AbstractState:
         """Apply every instruction effect of one block to ``state``."""
-        kernels = self._kernels
-        if kernels is None:
-            for apply_instruction in self._appliers(block_id):
-                state = apply_instruction(state)
-            return state
-        kernel = kernels.get(block_id)
-        if kernel is None:
-            # Tiered execution: interpret through the appliers until the
-            # block's program-wide run count (shared across analysis
-            # instances via the kernel cache) shows the compile will pay off.
-            # Both paths are value-identical, so the switch point is purely a
-            # performance decision.
-            runs = self._kernel_runs
-            count = runs.get(block_id, 0) + 1
-            if count < _KERNEL_JIT_THRESHOLD:
-                runs[block_id] = count
-                _M_INTERPRETED.inc()
-                for apply_instruction in self._appliers(block_id):
-                    state = apply_instruction(state)
-                return state
-            kernel = _compile_block_kernel(
-                self.cfg.block(block_id), self.cfg.function_name
-            )
-            kernels[block_id] = kernel
-            _M_COMPILES.inc()
-        return kernel(self, state)
+        for apply_instruction in self._appliers(block_id):
+            state = apply_instruction(state)
+        return state
 
     def _appliers(self, block_id: int) -> list:
         appliers = self._appliers_by_block.get(block_id)
@@ -888,212 +789,3 @@ def _negate_bool(interval: Interval) -> Interval:
     if interval.is_constant:
         return Interval.const(1 - interval.constant_value)
     return Interval(0, 1)
-
-
-# --------------------------------------------------------------------------- #
-# Fused engine: per-basic-block transfer kernel compiler
-# --------------------------------------------------------------------------- #
-#
-# The reference engine interprets one closure per instruction, paying for a
-# call, a ``state.get``/``state.set`` pair and a copy-on-write ownership check
-# per register write.  The fused engine compiles each basic block into a
-# single Python function that takes ownership of the register and fact dicts
-# once, then applies every instruction effect with direct dict operations.
-# The generated code mirrors ``_compile_unpredicated`` operation for
-# operation — the same lattice calls in the same order on the same interned
-# constants — so the resulting states are bit-identical to the reference
-# engine; tests/test_fused_engine.py enforces this across the fuzz presets.
-
-_TOP = AbstractValue.top()
-
-
-def _kill_facts(facts: Dict[str, PredicateFact], register: str) -> None:
-    """The fact invalidation of ``AbstractState.set``, on an owned fact dict."""
-    facts.pop(register, None)
-    for holder in list(facts):
-        if facts[holder].mentions_register(register):
-            del facts[holder]
-
-
-def _identity_kernel(analysis: "ValueAnalysis", state: AbstractState) -> AbstractState:
-    return state
-
-
-class _KernelBuilder:
-    """Accumulates generated source lines plus their closed-over constants.
-
-    The generated function has the shape::
-
-        def _kernel(A, state):        # A = the calling ValueAnalysis
-            state._own_registers()    # one COW materialisation per block
-            state._own_facts()
-            regs = state._registers
-            facts = state._facts
-            ...straight-line instruction effects...
-            return state
-
-    Register reads/writes go straight to ``regs``; memory and call effects go
-    through ``A`` so kernels stay reusable across analysis instances.
-    """
-
-    def __init__(self):
-        self.lines: List[str] = []
-        self.env: Dict[str, object] = {
-            "AV": AbstractValue,
-            "_TOP": _TOP,
-            "KF": _kill_facts,
-        }
-        self._serial = 0
-
-    def bind(self, prefix: str, value) -> str:
-        self._serial += 1
-        name = f"{prefix}{self._serial}"
-        self.env[name] = value
-        return name
-
-    # ------------------------------------------------------------------ #
-    def operand(self, operand) -> str:
-        """Expression yielding the operand's AbstractValue (cf. _abstract_getter)."""
-        if isinstance(operand, Reg):
-            return f"regs.get({operand.name!r}, _TOP)"
-        if isinstance(operand, Imm):
-            if isinstance(operand.value, float):
-                constant = AbstractValue.float_value()
-            else:
-                constant = AbstractValue.const(int(operand.value))
-            return self.bind("c", constant)
-        if isinstance(operand, Sym):
-            return self.bind("c", AbstractValue.address(operand.name, Interval.const(0)))
-        raise AnalysisError(f"unexpected operand {operand!r} in value analysis")
-
-    def set_register(self, dest: str, expression: str) -> None:
-        """Inline ``state.set``: direct write plus fact invalidation."""
-        self.lines.append(f"    regs[{dest!r}] = {expression}")
-        self.lines.append(f"    if facts: KF(facts, {dest!r})")
-
-    # ------------------------------------------------------------------ #
-    def emit(self, instr: Instruction) -> None:
-        op = instr.opcode
-        if op in _NO_EFFECT_OPCODES:
-            return
-        if instr.pred is not None:
-            # Predicated effect: the join of the skipped and taken outcomes,
-            # exactly as the reference wrapper in _compile_instruction.  The
-            # join produces a fresh state, so re-own and rebind the locals.
-            sub = self.bind("q", _compile_single_kernel(instr))
-            self.lines.append("    _skipped = state.copy()")
-            self.lines.append(f"    _taken = {sub}(A, state.copy())")
-            self.lines.append("    state = _skipped.join(_taken)")
-            self.lines.append("    state._own_registers()")
-            self.lines.append("    state._own_facts()")
-            self.lines.append("    regs = state._registers")
-            self.lines.append("    facts = state._facts")
-            return
-        self.emit_unpredicated(instr)
-
-    def emit_unpredicated(self, instr: Instruction) -> None:
-        op = instr.opcode
-        if op in (Opcode.CALL, Opcode.ICALL):
-            self.lines.append("    A._apply_call(state)")
-            return
-
-        dest = instr.dest.name if instr.dest is not None else None
-
-        if op is Opcode.MOV:
-            self.set_register(dest, self.operand(instr.operands[0]))
-            return
-        if op is Opcode.LA:
-            constant = AbstractValue.address(instr.operands[0].name, Interval.const(0))
-            self.set_register(dest, self.bind("c", constant))
-            return
-        if op in _ARITH_HANDLERS:
-            handler = self.bind("h", _ARITH_HANDLERS[op])
-            a = self.operand(instr.operands[0])
-            b = self.operand(instr.operands[1])
-            self.set_register(dest, f"{handler}({a}, {b})")
-            return
-        if op in (Opcode.NOT, Opcode.NEG):
-            method = "neg" if op is Opcode.NEG else "bit_not"
-            a = self.operand(instr.operands[0])
-            self.set_register(dest, f"AV(({a}).interval.{method}())")
-            return
-        if op in _COMPARE_HANDLERS:
-            handler = self.bind("h", _COMPARE_HANDLERS[op])
-            self.lines.append(f"    _a = {self.operand(instr.operands[0])}")
-            self.lines.append(f"    _b = {self.operand(instr.operands[1])}")
-            self.set_register(dest, f"AV({handler}(_a, _b))")
-            lhs = ValueAnalysis._fact_operand(instr.operands[0])
-            rhs = ValueAnalysis._fact_operand(instr.operands[1])
-            if lhs[0] != "other" and rhs[0] != "other":
-                fact = self.bind("f", PredicateFact(op, lhs, rhs))
-                self.lines.append("    if not (_a.is_float or _b.is_float):")
-                self.lines.append(f"        facts[{dest!r}] = {fact}")
-            return
-
-        if op in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FNEG, Opcode.ITOF):
-            constant = AbstractValue.float_value()
-        elif op is Opcode.FTOI:
-            constant = AbstractValue.top()
-        elif op in (Opcode.FSEQ, Opcode.FSNE, Opcode.FSLT, Opcode.FSLE):
-            constant = AbstractValue(Interval(0, 1))
-        else:
-            constant = None
-        if constant is not None:
-            self.set_register(dest, self.bind("c", constant))
-            return
-
-        if op in (Opcode.LOAD, Opcode.LOADB):
-            pointer = self.operand(instr.operands[0])
-            name = self.bind("i", instr)
-            self.lines.append(f"    A._apply_load({name}, {pointer}, state)")
-            return
-        if op in (Opcode.STORE, Opcode.STOREB):
-            value = self.operand(instr.operands[0])
-            pointer = self.operand(instr.operands[1])
-            name = self.bind("i", instr)
-            self.lines.append(f"    A._apply_store({name}, {value}, {pointer}, state)")
-            return
-
-        raise AnalysisError(f"value analysis: unhandled opcode {op.value!r}")
-
-    # ------------------------------------------------------------------ #
-    def build(self):
-        if not self.lines:
-            return _identity_kernel
-        header = [
-            "def _kernel(A, state):",
-            "    state._own_registers()",
-            "    state._own_facts()",
-            "    regs = state._registers",
-            "    facts = state._facts",
-        ]
-        source = "\n".join(header + self.lines + ["    return state"]) + "\n"
-        # Constants are referenced by positional binding names, so the source
-        # text of a block depends only on its instruction shape — blocks with
-        # identical shapes (extremely common across generated programs and
-        # unrolled code) share one code object and differ only in the
-        # environment handed to exec().
-        code = _CODE_CACHE.get(source)
-        if code is None:
-            if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
-                _CODE_CACHE.clear()
-            code = compile(source, "<fused-kernel>", "exec")
-            _CODE_CACHE[source] = code
-        namespace: Dict[str, object] = {}
-        exec(code, self.env, namespace)
-        return namespace["_kernel"]
-
-
-def _compile_block_kernel(block: BasicBlock, function_name: str):
-    """Compile one basic block into a fused ``(analysis, state) -> state`` kernel."""
-    builder = _KernelBuilder()
-    for instr in block.instructions:
-        builder.emit(instr)
-    return builder.build()
-
-
-def _compile_single_kernel(instr: Instruction):
-    """Kernel for one unpredicated instruction (the predicated 'taken' leg)."""
-    builder = _KernelBuilder()
-    builder.emit_unpredicated(instr)
-    return builder.build()

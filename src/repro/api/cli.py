@@ -6,10 +6,8 @@ Subcommands (each supports machine-readable ``--json`` output on stdout; with
 * ``analyze`` — WCET/BCET analysis of a workload, a mini-C file or an
   assembly file, optionally per operating mode / error scenario;
 * ``check`` — the MISRA-C predictability checker over a mini-C file;
-* ``sweep`` — the differential soundness sweep over generated programs
-  (replaces ``python -m repro.testing``, which now delegates here);
-* ``bench`` — the tracked macro perf workload (replaces
-  ``python -m repro.benchmarks``, which now delegates here);
+* ``sweep`` — the differential soundness sweep over generated programs;
+* ``bench`` — the tracked macro perf workload;
 * ``report`` — pretty-print (or re-emit) a previously saved ``--json`` file;
 * ``serve`` — run the persistent analysis server (:mod:`repro.server`);
   ``analyze --remote URL`` sends the same request to such a server instead

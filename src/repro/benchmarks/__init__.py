@@ -260,9 +260,9 @@ def measure_trace_overhead(jobs: int = 1) -> BenchmarkRecord:
     """Measure the wall-clock cost of tracing on the macro workload.
 
     Runs the workload four times in ABBA order (untraced, traced, traced,
-    untraced) so both modes get one cache-cold and one cache-warm slot —
-    in-process kernel/code caches persist across runs, and a fixed order
-    would systematically flatter whichever mode ran later.  The overhead is
+    untraced) so both modes get one cold and one warm slot — the first run
+    pays one-time in-process warm-up (lazy imports, interned lattice values),
+    and a fixed order would systematically flatter whichever mode ran later.  The overhead is
     computed best-of-each (damping scheduler noise), and every run's
     identity block must match: tracing that changes a single bound is a
     bug, not overhead.

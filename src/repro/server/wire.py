@@ -193,6 +193,10 @@ def _dump_analysis_options(options: AnalysisOptions) -> Dict[str, Any]:
 #: so the key is dropped; any other value ("scipy") is rejected rather than
 #: silently re-interpreted.
 _LEGACY_ILP_BACKENDS = ("auto", "simplex")
+#: Values of the removed ``engine`` knob.  Both engines produced the same
+#: bit-identical results as the single value-analysis engine that remains, so
+#: the key is dropped; any other value is rejected.
+_LEGACY_ENGINES = ("fused", "reference")
 
 
 def _load_analysis_options(data: Dict[str, Any]) -> AnalysisOptions:
@@ -202,6 +206,12 @@ def _load_analysis_options(data: Dict[str, Any]) -> AnalysisOptions:
         raise SchemaError(
             f"serialised AnalysisOptions asks for ilp_backend={backend!r}; "
             "the in-tree simplex is the only LP solver"
+        )
+    engine = payload.pop("engine", "reference")
+    if engine not in _LEGACY_ENGINES:
+        raise SchemaError(
+            f"serialised AnalysisOptions names unknown engine {engine!r}; "
+            "there is one analysis engine"
         )
     try:
         return AnalysisOptions(**payload)

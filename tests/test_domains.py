@@ -258,3 +258,81 @@ class TestAbstractState:
         state = AbstractState()
         state.set("r1", AbstractValue(Interval(0, 5)))
         assert state.includes(state)
+
+
+class TestIntervalInterning:
+    """Interning invariants: shared singletons and identity-returning lattice ops."""
+
+    def test_nullary_constructors_are_singletons(self):
+        assert Interval.top() is Interval.top()
+        assert Interval.bottom() is Interval.bottom()
+
+    def test_small_constants_are_pooled(self):
+        for value in (-1024, -1, 0, 1, 255, 4096):
+            assert Interval.const(value) is Interval.const(value)
+
+    def test_degenerate_range_is_the_pooled_constant(self):
+        assert Interval.range(7, 7) is Interval.const(7)
+        assert Interval.range(5, 3) is Interval.bottom()
+
+    def test_out_of_pool_constants_still_compare_equal(self):
+        assert Interval.const(1 << 20) == Interval(1 << 20, 1 << 20)
+
+    def test_join_returns_operand_when_result_equals_it(self):
+        a = Interval.const(1)
+        wide = Interval(1, 5)
+        assert a.join(a) is a
+        assert wide.join(a) is wide
+        assert a.join(wide) is wide
+
+    def test_meet_returns_operand_when_result_equals_it(self):
+        narrow = Interval(2, 3)
+        wide = Interval(0, 10)
+        assert wide.meet(narrow) is narrow
+        assert narrow.meet(wide) is narrow
+
+    def test_widen_self_identity(self):
+        a = Interval(0, 8)
+        assert a.widen(a) is a
+        assert Interval.top().widen(Interval.top()) is Interval.top()
+
+    def test_abstract_value_singletons(self):
+        assert AbstractValue.top() is AbstractValue.top()
+        assert AbstractValue.bottom() is AbstractValue.bottom()
+        assert AbstractValue.float_value() is AbstractValue.float_value()
+        assert AbstractValue.const(42) is AbstractValue.const(42)
+
+    def test_abstract_value_join_identity_fast_path(self):
+        value = AbstractValue.const(3)
+        assert value.join(value) is value
+        wide = AbstractValue(Interval(0, 9))
+        assert wide.join(value) is wide
+
+    def test_state_includes_short_circuits_on_shared_dicts(self):
+        state = AbstractState()
+        state.set("r1", AbstractValue.const(4))
+        clone = state.copy()
+        # The copy shares registers/facts/memory; includes() must answer
+        # True without a per-register walk (pointer fast path).
+        assert state.includes(clone)
+        assert clone.includes(state)
+
+    def test_join_all_matches_pairwise_fold(self):
+        a = AbstractState()
+        a.set("r1", AbstractValue.const(1))
+        a.set("r2", AbstractValue.const(7))
+        b = AbstractState()
+        b.set("r1", AbstractValue.const(5))
+        c = AbstractState()
+        c.set("r1", AbstractValue(Interval(-3, 0)))
+        batched = AbstractState.join_all([a, b, c])
+        pairwise = a.join(b).join(c)
+        # AbstractState has no __eq__; mutual inclusion is lattice equality.
+        assert batched.includes(pairwise) and pairwise.includes(batched)
+        assert batched.get("r1") == pairwise.get("r1")
+        assert batched.get("r2") == pairwise.get("r2")
+
+    def test_join_all_of_nothing_is_unreachable(self):
+        assert not AbstractState.join_all([]).reachable
+        unreachable = AbstractState.unreachable()
+        assert not AbstractState.join_all([unreachable]).reachable

@@ -411,7 +411,6 @@ class TestServerIntegration:
             "repro_store_quarantines_total",
             "repro_simplex_pivots_total",
             "repro_fixpoint_joins_total",
-            "repro_kernel_jit_compiles_total",
             'repro_http_requests_total{method="POST",status="202"}',
         ):
             assert series in parsed, f"missing series {series!r}"

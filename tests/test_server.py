@@ -150,6 +150,19 @@ class TestWireRoundTrips:
         with pytest.raises(SchemaError, match="ilp_backend='scipy'"):
             from_json(payload)
 
+    @pytest.mark.parametrize("engine", ["fused", "reference"])
+    def test_legacy_engine_key_is_dropped(self, engine):
+        """Both removed engines gave the single engine's bit-identical result."""
+        payload = to_json(AnalysisOptions(compute_bcet=False))
+        payload["engine"] = engine
+        assert from_json(payload) == AnalysisOptions(compute_bcet=False)
+
+    def test_unknown_engine_rejected(self):
+        payload = to_json(AnalysisOptions())
+        payload["engine"] = "turbo"
+        with pytest.raises(SchemaError, match="unknown engine 'turbo'"):
+            from_json(payload)
+
     def test_result_payload_is_plain_analysis_result(self):
         """A finished job's payload is the existing AnalysisResult kind."""
         result = AnalysisService(
@@ -614,6 +627,35 @@ class TestHTTPEndToEnd:
             client._call("POST", "/v1/jobs", payload)
         assert excinfo.value.status == 400
         assert excinfo.value.error.error == "SchemaError"
+
+    def _legacy_engine_submit(self, engine):
+        payload = to_json(
+            ServerSubmit(
+                project=ProjectSpec(workload="message-handler"),
+                request=AnalysisRequest(options=AnalysisOptions(), label="engine"),
+            )
+        )
+        payload["request"]["options"]["engine"] = engine
+        return payload
+
+    def test_unknown_engine_submit_is_400(self, client):
+        with pytest.raises(RemoteError) as excinfo:
+            client._call("POST", "/v1/jobs", self._legacy_engine_submit("turbo"))
+        assert excinfo.value.status == 400
+        assert excinfo.value.error.error == "SchemaError"
+
+    @pytest.mark.parametrize("engine", ["fused", "reference"])
+    def test_legacy_engine_submit_matches_direct(self, client, engine):
+        reply = from_json(
+            client._call("POST", "/v1/jobs", self._legacy_engine_submit(engine)),
+            ServerSubmitReply,
+        )
+        client.wait(reply.job_id, timeout=120)
+        remote = client.result(reply.job_id)
+        direct = AnalysisService(
+            Project.from_workload("message-handler", cache="off")
+        ).analyze(AnalysisRequest(label="engine"))
+        assert result_identity(remote) == result_identity(direct)
 
     def test_submit_rejects_unknown_lane_and_processor(self, client):
         with pytest.raises(RemoteError, match="lane"):

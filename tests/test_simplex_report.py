@@ -2,8 +2,10 @@
 
 * :mod:`repro.wcet.simplex` — the dependency-free two-phase simplex solver:
   optimal, degenerate, unbounded and infeasible problems, equality handling,
-  negative right-hand sides, minimisation, and a cross-check against the IPET
-  results on a real CFG.
+  negative right-hand sides, minimisation, a cross-check against the IPET
+  results on a real CFG, and dense-row promotion (same pivots as an all-sparse
+  tableau, actually triggered on a wide, filled-in tableau, and bit-identical
+  full reports on a 100-program differential sweep).
 * :mod:`repro.wcet.report` — report construction and text rendering.
 """
 
@@ -11,9 +13,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Project
+from repro.api.service import AnalysisRequest, AnalysisService
 from repro.errors import ReproError
 from repro.hardware.processor import simple_scalar
-from repro.wcet import WCETAnalyzer
+from repro.testing import generate_case, render_case
+from repro.testing.fuzz import default_presets, report_identity
+from repro.wcet import WCETAnalyzer, simplex
+from repro.wcet.analyzer import AnalysisOptions
 from repro.wcet.report import (
     ChallengeReport,
     FunctionReport,
@@ -134,6 +141,164 @@ class TestSimplexCrossCheck:
         ).analyze()
         assert paired.wcet_cycles == single.wcet_cycles
         assert 0 < paired.bcet_cycles <= paired.wcet_cycles
+
+
+def _dense_heavy_lp():
+    """An LP whose equality rows exceed the densification threshold.
+
+    48 variables, three full-width equality constraints and per-variable
+    upper bounds: the equality rows carry ~49 of ~99 columns, so the tableau
+    promotes them to dense lists on the first pivot that updates them.
+    """
+    n = 48
+    objective = [1.0 + (i % 5) * 0.25 for i in range(n)]
+    a_ub = [{i: 1.0} for i in range(n)]
+    b_ub = [3.0] * n
+    a_eq = [
+        {i: 1.0 for i in range(n)},
+        {i: (1.0 if i % 2 == 0 else 2.0) for i in range(n)},
+        {i: float(1 + (i % 3)) for i in range(n)},
+    ]
+    b_eq = [float(n), float(n + n // 2), float(sum(1 + (i % 3) for i in range(n)))]
+    return objective, a_ub, b_ub, a_eq, b_eq
+
+
+class TestDenseTableau:
+    def _trace(self, monkeypatch):
+        """Solve the dense-heavy LP recording every (row, col) pivot."""
+        trace = []
+        original = simplex._pivot
+
+        def recording(rows, rhs, basis, col_rows, row, col, *args):
+            trace.append((row, col))
+            return original(rows, rhs, basis, col_rows, row, col, *args)
+
+        monkeypatch.setattr(simplex, "_pivot", recording)
+        objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
+        result = simplex.solve_sparse_lp(
+            objective, a_ub, b_ub, a_eq, b_eq, maximise=True
+        )
+        return trace, result
+
+    def test_pivot_sequence_matches_all_sparse_tableau(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            promoted_trace, promoted = self._trace(patch)
+        with monkeypatch.context() as patch:
+            # Raise the width floor above this LP's 99 columns: no row is
+            # ever promoted, so the whole run stays on dict rows.
+            patch.setattr(simplex, "_DENSE_MIN_COLUMNS", 1000)
+            objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
+            assert not simplex.prepare_sparse_tableau(
+                len(objective), a_ub, b_ub, a_eq, b_eq
+            ).dense_rows
+            sparse_trace, sparse = self._trace(patch)
+        assert promoted_trace == sparse_trace
+        assert promoted.status == sparse.status == "optimal"
+        assert promoted.objective == sparse.objective
+        assert promoted.values == sparse.values
+        assert promoted.pivots == sparse.pivots > 0
+
+    def test_filled_rows_are_densified(self):
+        objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
+        prepared = simplex.prepare_sparse_tableau(
+            len(objective), a_ub, b_ub, a_eq, b_eq
+        )
+        assert prepared.dense_rows, "expected dense-row promotion on this LP"
+        for r in prepared.dense_rows:
+            assert type(prepared.rows[r]) is list
+            assert len(prepared.rows[r]) == prepared.total_columns
+        # Promoted rows leave the column index; elimination visits them
+        # unconditionally instead.
+        for members in prepared.col_rows.values():
+            assert not members & prepared.dense_rows
+
+    def test_public_solve_promotes_rows(self):
+        """Guard the memory win: a wide IPET tableau must not stay all-sparse.
+
+        An all-sparse tableau fills in to one dict entry per touched column;
+        on a large IPET system that was a 19.8 MB traced peak against 7.2 MB
+        with dense rows.  Promotion needs no option, so the public entry
+        point must trigger it.
+        """
+        objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
+        result = simplex.solve_sparse_lp(objective, a_ub, b_ub, a_eq, b_eq)
+        assert result.status == "optimal"
+        prepared = simplex.prepare_sparse_tableau(
+            len(objective), a_ub, b_ub, a_eq, b_eq
+        )
+        assert prepared.dense_rows, "dense-row promotion no longer fires"
+
+    def test_prepared_tableau_reuse_counts_phase1_once(self):
+        objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
+        prepared = simplex.prepare_sparse_tableau(
+            len(objective), a_ub, b_ub, a_eq, b_eq
+        )
+        assert prepared.pivots > 0
+        maxi = simplex.optimise_prepared(prepared, objective, maximise=True)
+        mini = simplex.optimise_prepared(prepared, objective, maximise=False)
+        assert maxi.status == mini.status == "optimal"
+        # Phase-2 counters exclude the shared phase-1 work.
+        assert maxi.pivots >= 0 and mini.pivots >= 0
+        single = simplex.solve_sparse_lp(
+            objective, a_ub, b_ub, a_eq, b_eq, maximise=True
+        )
+        assert single.pivots == prepared.pivots + maxi.pivots
+        assert single.objective == maxi.objective
+
+
+#: The differential sweep: 100 generated programs, rotating through every fuzz
+#: preset.  About two thirds of them build an IPET tableau wide and full
+#: enough to promote rows, the rest check that small tableaux are untouched.
+SWEEP_SEEDS = list(range(1, 101))
+PRESETS = default_presets()
+
+
+class TestDenseRowsSweep:
+    """Dense-row promotion must not change any report, not merely its bound."""
+
+    def _identity(self, service, options, monkeypatch):
+        """Full-report identity (or the exact failure), plus promotion count."""
+        promoted = []
+        original = simplex.prepare_sparse_tableau
+
+        def recording(*args, **kwargs):
+            prepared = original(*args, **kwargs)
+            promoted.append(len(prepared.dense_rows))
+            return prepared
+
+        monkeypatch.setattr(simplex, "prepare_sparse_tableau", recording)
+        try:
+            result = service.analyze(AnalysisRequest(options=options))
+        except ReproError as exc:
+            return ("error", type(exc).__name__, str(exc)), sum(promoted)
+        identity = {
+            mode: report_identity(report) for mode, report in result.reports.items()
+        }
+        return identity, sum(promoted)
+
+    @pytest.mark.parametrize("seed", SWEEP_SEEDS)
+    def test_reports_match_all_sparse_tableau(self, seed, monkeypatch):
+        preset = PRESETS[seed % len(PRESETS)]
+        case = generate_case(seed, preset.mix)
+        rendered = render_case(case)
+        project = Project.from_source(
+            rendered.source,
+            entry=case.entry,
+            annotations=rendered.annotations,
+            cache="off",
+            name=case.name,
+        )
+        service = AnalysisService(project)
+        options = preset.options or AnalysisOptions()
+        with monkeypatch.context() as patch:
+            dense, _ = self._identity(service, options, patch)
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_DENSE_MIN_COLUMNS", 1 << 30)
+            sparse, sparse_promoted = self._identity(service, options, patch)
+        assert sparse_promoted == 0
+        assert dense == sparse, (
+            f"seed {seed} preset {preset.name}: dense-row promotion changed the report"
+        )
 
 
 class TestReportRendering:
