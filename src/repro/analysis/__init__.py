@@ -15,27 +15,24 @@ This package provides:
 * classic liveness analysis (:mod:`repro.analysis.liveness`).
 """
 
-from repro.analysis.domains.interval import Interval
-from repro.analysis.domains.congruence import Congruence
-from repro.analysis.domains.memstate import AbstractValue, AbstractMemory, AbstractState
-from repro.analysis.value import ValueAnalysis, ValueAnalysisResult
-from repro.analysis.loopbounds import LoopBound, LoopBoundAnalysis, LoopBoundResult
-from repro.analysis.reachability import ReachabilityResult, find_unreachable_code
-from repro.analysis.liveness import LivenessResult, compute_liveness
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interval",
-    "Congruence",
-    "AbstractValue",
-    "AbstractMemory",
-    "AbstractState",
-    "ValueAnalysis",
-    "ValueAnalysisResult",
-    "LoopBound",
-    "LoopBoundAnalysis",
-    "LoopBoundResult",
-    "ReachabilityResult",
-    "find_unreachable_code",
-    "LivenessResult",
-    "compute_liveness",
-]
+_EXPORTS = {
+    "Interval": "domains.interval",
+    "Congruence": "domains.congruence",
+    "AbstractValue": "domains.memstate",
+    "AbstractMemory": "domains.memstate",
+    "AbstractState": "domains.memstate",
+    "ValueAnalysis": "value",
+    "ValueAnalysisResult": "value",
+    "LoopBound": "loopbounds",
+    "LoopBoundAnalysis": "loopbounds",
+    "LoopBoundResult": "loopbounds",
+    "ReachabilityResult": "reachability",
+    "find_unreachable_code": "reachability",
+    "LivenessResult": "liveness",
+    "compute_liveness": "liveness",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,13 +1,14 @@
 """Abstract domains used by the value and loop-bound analyses."""
 
-from repro.analysis.domains.interval import Interval
-from repro.analysis.domains.congruence import Congruence
-from repro.analysis.domains.memstate import AbstractValue, AbstractMemory, AbstractState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interval",
-    "Congruence",
-    "AbstractValue",
-    "AbstractMemory",
-    "AbstractState",
-]
+_EXPORTS = {
+    "Interval": "interval",
+    "Congruence": "congruence",
+    "AbstractValue": "memstate",
+    "AbstractMemory": "memstate",
+    "AbstractState": "memstate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -31,35 +31,24 @@ benchmarks — is a thin consumer of this layer; new workloads and back ends
 plug in here instead of growing another bespoke surface.
 """
 
-from repro.api.project import (
-    CACHE_ENV_VAR,
-    PROCESSORS,
-    Project,
-    ProjectError,
-    resolve_processor,
-    resolve_summary_store,
-)
-from repro.api.serialize import SCHEMA_VERSION, SchemaError, from_json, to_json
-from repro.api.service import (
-    AnalysisRequest,
-    AnalysisResult,
-    AnalysisService,
-    RequestError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisRequest",
-    "AnalysisResult",
-    "AnalysisService",
-    "RequestError",
-    "CACHE_ENV_VAR",
-    "PROCESSORS",
-    "Project",
-    "ProjectError",
-    "SCHEMA_VERSION",
-    "SchemaError",
-    "from_json",
-    "resolve_processor",
-    "resolve_summary_store",
-    "to_json",
-]
+_EXPORTS = {
+    "AnalysisRequest": "service",
+    "AnalysisResult": "service",
+    "AnalysisService": "service",
+    "RequestError": "service",
+    "CACHE_ENV_VAR": "project",
+    "PROCESSORS": "project",
+    "Project": "project",
+    "ProjectError": "project",
+    "SCHEMA_VERSION": "serialize",
+    "SchemaError": "serialize",
+    "from_json": "serialize",
+    "resolve_processor": "project",
+    "resolve_summary_store": "project",
+    "to_json": "serialize",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -54,13 +54,22 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+class _OutputError(Exception):
+    """The ``--output`` file cannot be written: a usage error (exit 2)."""
+
+
 def _emit(args, payload: dict, text: str) -> None:
     """Write the subcommand's primary output (JSON or text, file or stdout)."""
     rendered = json.dumps(payload, indent=2) if args.json else text
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-            handle.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+                handle.write("\n")
+        except OSError as exc:
+            raise _OutputError(
+                f"cannot write {args.output}: {exc.strerror or exc}"
+            ) from exc
     else:
         print(rendered)
 
@@ -975,7 +984,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

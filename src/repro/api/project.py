@@ -37,7 +37,6 @@ from repro.hardware.processor import (
     mpc5554_like,
     simple_scalar,
 )
-from repro.ir.asmparser import parse_assembly
 from repro.ir.program import Program
 from repro.minic import ast
 from repro.minic.codegen import CodeGenerator
@@ -212,6 +211,8 @@ class Project:
                     self.compilation_unit(), entry=self.entry or "main"
                 ).generate()
             else:
+                from repro.ir.asmparser import parse_assembly
+
                 self._program = parse_assembly(
                     self.assembly, entry=self.entry or "main"
                 )

@@ -30,8 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.errors import ReproError
-from repro.guidelines.checker import GuidelineReport
-from repro.guidelines.finding import ChallengeTier, Finding, Severity
+from repro.guidelines.finding import ChallengeTier, Finding, GuidelineReport, Severity
 from repro.hardware.pipeline import BlockTimeBounds
 from repro.wcet.report import (
     ChallengeReport,

@@ -22,16 +22,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.summaries import SummaryCache
 from repro.api.project import Project
 from repro.api import serialize
 from repro.errors import ReproError
-from repro.guidelines.checker import GuidelineChecker, GuidelineReport
 from repro.obs import trace as obs_trace
-from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
-from repro.wcet.report import WCETReport
+
+# Each layer is imported where it runs: a guideline check loads no analyzer,
+# and an analysis loads no guideline rules.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.summaries import SummaryCache
+    from repro.guidelines.finding import GuidelineReport
+    from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
+    from repro.wcet.report import WCETReport
 
 
 class RequestError(ReproError):
@@ -139,12 +143,16 @@ class AnalysisService:
     ):
         self.project = project
         if summary_cache is None:
+            from repro.analysis.summaries import SummaryCache
+
             summary_cache = SummaryCache(store=project.summary_store())
         self.summary_cache = summary_cache
 
     # ------------------------------------------------------------------ #
     def analyzer(self, options: Optional[AnalysisOptions] = None) -> WCETAnalyzer:
         """A WCET analyzer over the project's program, sharing the cache."""
+        from repro.wcet.analyzer import WCETAnalyzer
+
         return WCETAnalyzer(
             self.project.build(),
             self.project.processor,
@@ -284,4 +292,6 @@ class AnalysisService:
 
     def check_guidelines(self) -> GuidelineReport:
         """Run the MISRA predictability checker over the project's source."""
+        from repro.guidelines.checker import GuidelineChecker
+
         return GuidelineChecker().check_unit(self.project.compilation_unit())

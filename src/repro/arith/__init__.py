@@ -18,32 +18,28 @@ there is no simple way to tell from the inputs).  This package provides
   Table 1 with the paper's exact bucket boundaries.
 """
 
-from repro.arith.ldivmod import DivisionResult, ldivmod, LDIVMOD_WORST_CASE_BOUND
-from repro.arith.restoring import restoring_divmod, RESTORING_ITERATIONS
-from repro.arith.softfloat import SoftFloat, float_add, float_div, float_mul, float_sub
-from repro.arith.fixedpoint import Fixed, FIXED_FRACTION_BITS
-from repro.arith.sampling import (
-    PAPER_TABLE1_BUCKETS,
-    PAPER_TABLE1_ROWS,
-    IterationHistogram,
-    sample_iteration_histogram,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DivisionResult",
-    "ldivmod",
-    "LDIVMOD_WORST_CASE_BOUND",
-    "restoring_divmod",
-    "RESTORING_ITERATIONS",
-    "SoftFloat",
-    "float_add",
-    "float_sub",
-    "float_mul",
-    "float_div",
-    "Fixed",
-    "FIXED_FRACTION_BITS",
-    "IterationHistogram",
-    "sample_iteration_histogram",
-    "PAPER_TABLE1_BUCKETS",
-    "PAPER_TABLE1_ROWS",
-]
+# ``ldivmod`` is both a function and the submodule defining it, so the
+# ldivmod names are bound eagerly (see :mod:`repro._lazy`); the module is
+# small and imports nothing heavy.
+from repro.arith.ldivmod import DivisionResult, ldivmod, LDIVMOD_WORST_CASE_BOUND
+
+_EXPORTS = {
+    "restoring_divmod": "restoring",
+    "RESTORING_ITERATIONS": "restoring",
+    "SoftFloat": "softfloat",
+    "float_add": "softfloat",
+    "float_sub": "softfloat",
+    "float_mul": "softfloat",
+    "float_div": "softfloat",
+    "Fixed": "fixedpoint",
+    "FIXED_FRACTION_BITS": "fixedpoint",
+    "IterationHistogram": "sampling",
+    "sample_iteration_histogram": "sampling",
+    "PAPER_TABLE1_BUCKETS": "sampling",
+    "PAPER_TABLE1_ROWS": "sampling",
+}
+
+__all__ = ["DivisionResult", "ldivmod", "LDIVMOD_WORST_CASE_BOUND", *_EXPORTS]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -15,17 +15,18 @@ package automates that examination for mini-C sources:
   program, quantifying the connection the paper only argues qualitatively.
 """
 
-from repro.guidelines.finding import Finding, Severity, ChallengeTier
-from repro.guidelines.checker import GuidelineChecker, GuidelineReport, all_rules
-from repro.guidelines.predictability import PredictabilityAssessment, assess_predictability
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "Severity",
-    "ChallengeTier",
-    "GuidelineChecker",
-    "GuidelineReport",
-    "all_rules",
-    "PredictabilityAssessment",
-    "assess_predictability",
-]
+_EXPORTS = {
+    "Finding": "finding",
+    "Severity": "finding",
+    "ChallengeTier": "finding",
+    "GuidelineChecker": "checker",
+    "GuidelineReport": "finding",
+    "all_rules": "checker",
+    "PredictabilityAssessment": "predictability",
+    "assess_predictability": "predictability",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

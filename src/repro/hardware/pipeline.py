@@ -21,7 +21,7 @@ The cost of an instruction is::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.value import AccessInfo
 from repro.cfg.graph import BasicBlock
@@ -29,8 +29,10 @@ from repro.hardware.cache import CacheConfig, CacheStatistics, LRUCacheSimulator
 from repro.hardware.cache_analysis import CacheClassification
 from repro.hardware.processor import ProcessorConfig
 from repro.ir.instructions import INSTRUCTION_SIZE, Instruction, OpClass
-from repro.ir.interpreter import ExecutionTrace
 from repro.ir.program import Program
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; analysis never interprets
+    from repro.ir.interpreter import ExecutionTrace
 
 
 @dataclass

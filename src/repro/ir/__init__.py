@@ -20,37 +20,27 @@ Public API
 * :class:`Interpreter`, :class:`ExecutionResult` — concrete execution
 """
 
-from repro.ir.instructions import (
-    Imm,
-    Instruction,
-    Label,
-    Opcode,
-    Operand,
-    OpClass,
-    Reg,
-    Sym,
-)
-from repro.ir.program import DataObject, Function, Program
-from repro.ir.builder import FunctionBuilder, ProgramBuilder
-from repro.ir.asmparser import parse_assembly
-from repro.ir.interpreter import ExecutionResult, Interpreter, MachineState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Opcode",
-    "OpClass",
-    "Operand",
-    "Reg",
-    "Imm",
-    "Sym",
-    "Label",
-    "Instruction",
-    "Function",
-    "DataObject",
-    "Program",
-    "ProgramBuilder",
-    "FunctionBuilder",
-    "parse_assembly",
-    "Interpreter",
-    "MachineState",
-    "ExecutionResult",
-]
+_EXPORTS = {
+    "Opcode": "instructions",
+    "OpClass": "instructions",
+    "Operand": "instructions",
+    "Reg": "instructions",
+    "Imm": "instructions",
+    "Sym": "instructions",
+    "Label": "instructions",
+    "Instruction": "instructions",
+    "Function": "program",
+    "DataObject": "program",
+    "Program": "program",
+    "ProgramBuilder": "builder",
+    "FunctionBuilder": "builder",
+    "parse_assembly": "asmparser",
+    "Interpreter": "interpreter",
+    "MachineState": "interpreter",
+    "ExecutionResult": "interpreter",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

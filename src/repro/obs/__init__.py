@@ -15,12 +15,17 @@ the summary cache and the server (see docs/observability.md):
 * :mod:`repro.obs.logs` — a JSON-lines structured logger threading
   trace/job ids through server request logs and worker lifecycle events.
 
-This package imports nothing from the rest of :mod:`repro` (only the
-standard library), so any module — engine, cache, server — can instrument
-itself without import cycles.  The bit-identity contract holds throughout:
-observability records what the analysis did, it never changes a bound.
+This package imports nothing from the rest of :mod:`repro` but the
+stdlib-only :mod:`repro._lazy` helper, so any module — engine, cache,
+server — can instrument itself without import cycles.  The three modules
+are re-exported lazily, so an analysis never loads :mod:`repro.obs.logs`.
+The bit-identity contract holds throughout: observability records what the
+analysis did, it never changes a bound.
 """
 
-from repro.obs import logs, metrics, trace
+from repro._lazy import lazy_exports
 
-__all__ = ["logs", "metrics", "trace"]
+_EXPORTS = {"logs": "logs", "metrics": "metrics", "trace": "trace"}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -29,7 +29,7 @@ Run one with ``python -m repro serve --port 8472 --jobs 4 --cache-dir .cache``
 (see docs/server.md for deployment and scaling notes).
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 # Public names, re-exported lazily (PEP 562): importing one submodule — say
 # ``repro.server.wire`` for a local ``repro analyze`` — must not drag in the
@@ -63,12 +63,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    submodule = _EXPORTS.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -14,29 +14,26 @@
 * :mod:`repro.wcet.report` — structured analysis reports.
 """
 
-from repro.wcet.ilp import ILPProblem, ILPSolution, LinearExpression, solve_ilp
-from repro.wcet.ipet import IPETBuilder, PathAnalysisResult
-from repro.wcet.blocktime import BlockTimeTable
-from repro.wcet.contexts import CallContext
-from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
-from repro.wcet.batch import AnalysisRequest, BatchResult, analyze_batch
-from repro.wcet.report import FunctionReport, WCETReport, ChallengeReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisRequest",
-    "BatchResult",
-    "analyze_batch",
-    "ILPProblem",
-    "ILPSolution",
-    "LinearExpression",
-    "solve_ilp",
-    "IPETBuilder",
-    "PathAnalysisResult",
-    "BlockTimeTable",
-    "CallContext",
-    "AnalysisOptions",
-    "WCETAnalyzer",
-    "WCETReport",
-    "FunctionReport",
-    "ChallengeReport",
-]
+_EXPORTS = {
+    "AnalysisRequest": "batch",
+    "BatchResult": "batch",
+    "analyze_batch": "batch",
+    "ILPProblem": "ilp",
+    "ILPSolution": "ilp",
+    "LinearExpression": "ilp",
+    "solve_ilp": "ilp",
+    "IPETBuilder": "ipet",
+    "PathAnalysisResult": "ipet",
+    "BlockTimeTable": "blocktime",
+    "CallContext": "contexts",
+    "AnalysisOptions": "analyzer",
+    "WCETAnalyzer": "analyzer",
+    "WCETReport": "report",
+    "FunctionReport": "report",
+    "ChallengeReport": "report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.errors import (
+    AnalysisError,
     AnnotationError,
     CFGError,
     UnboundedLoopError,
@@ -180,6 +181,11 @@ class WCETAnalyzer:
         mode-independent phases (decoding, loop/value analysis) run once.
         """
         entry = entry or self.program.entry
+        if entry not in self.program.functions:
+            raise AnalysisError(
+                f"unknown entry function {entry!r}; the program defines "
+                f"{', '.join(sorted(self.program.functions))}"
+            )
         annotations = self.annotations.for_mode(mode)
         if error_scenario is not None:
             scenario = next(

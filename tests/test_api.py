@@ -11,7 +11,11 @@ pre-redesign ``WCETAnalyzer`` API.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,7 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.cache import SummaryStore, configure
+from repro.errors import AnalysisError
 from repro.guidelines.checker import GuidelineReport
 from repro.guidelines.finding import ChallengeTier, Finding, Severity
 from repro.hardware.pipeline import BlockTimeBounds
@@ -359,6 +364,18 @@ class TestServiceEquivalence:
         assert [r.wcet_cycles for r in many] == [single.wcet_cycles] * 2
         assert [r.bcet_cycles for r in many] == [single.bcet_cycles] * 2
 
+    @pytest.mark.parametrize("all_modes", [False, True])
+    def test_unknown_entry_is_rejected_before_decoding(self, monkeypatch, all_modes):
+        from repro.wcet import analyzer as analyzer_module
+
+        def decode(*args, **kwargs):
+            raise AssertionError("decoding ran for an unknown entry")
+
+        monkeypatch.setattr(analyzer_module, "reconstruct_program", decode)
+        service = AnalysisService(Project.from_workload("flight-control", cache="off"))
+        with pytest.raises(AnalysisError, match="'nope'.*control_law, .*main"):
+            service.analyze(AnalysisRequest(entry="nope", all_modes=all_modes))
+
     def test_all_modes_rejects_conflicting_mode(self):
         from repro.api import RequestError
 
@@ -394,6 +411,22 @@ class TestServiceEquivalence:
 
 
 # --------------------------------------------------------------------------- #
+def run_cli(argv, cwd):
+    """``python -m repro`` in a fresh process: (exit status, stderr)."""
+    env = dict(os.environ)
+    env.pop("REPRO_CACHE_DIR", None)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return completed.returncode, completed.stderr
+
+
 class TestCli:
     def test_analyze_json_matches_pre_redesign_api(self, capsys):
         """Acceptance pin: the unified CLI reproduces the legacy values."""
@@ -485,6 +518,38 @@ class TestCli:
         # Both the workload's own facts and the user's file survive the merge.
         assert project.annotations.mode_names() == ["air", "ground"]
         assert project.annotations.recursion_bound_for("traverse").max_depth == 4
+
+    def test_unknown_entry_exits_1_without_traceback(self, tmp_path):
+        status, err = run_cli(
+            ["analyze", "--workload", "flight-control", "--entry", "nope"], tmp_path
+        )
+        assert status == 1
+        assert err.startswith("error: AnalysisError: unknown entry function 'nope'")
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path):
+        target = tmp_path / "missing" / "check.json"
+        status, err = run_cli(
+            ["check", str(Path(__file__).resolve().parents[1] / "examples" / "problematic.c"),
+             "--json", "--output", str(target)],
+            tmp_path,
+        )
+        assert status == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
+    def test_every_emitting_subcommand_reports_unwritable_output(self, capsys, tmp_path):
+        saved = tmp_path / "check.json"
+        assert cli_main(["check", "examples/problematic.c", "--json", "--output", str(saved)]) == 0
+        target = str(tmp_path / "missing" / "out.json")
+        for argv in (
+            ["analyze", "--workload", "message-handler"],
+            ["check", "examples/problematic.c"],
+            ["report", str(saved)],
+        ):
+            capsys.readouterr()
+            assert cli_main([*argv, "--output", target]) == 2, argv
+            assert f"error: cannot write {target}: " in capsys.readouterr().err
 
     def test_sweep_output_requires_json(self, capsys, tmp_path):
         status = cli_main(

@@ -404,6 +404,26 @@ class TestWorkerPool:
             scheduler.close()
             pool.shutdown()
 
+    def test_unknown_entry_fails_the_job_without_a_traceback(self):
+        scheduler = Scheduler()
+        pool = WorkerPool(scheduler, jobs=1)
+        pool.start()
+        try:
+            job = scheduler.submit(
+                ProjectSpec(workload="flight-control"), AnalysisRequest(entry="nope")
+            )
+            for _ in range(400):
+                if job.state in ("done", "failed"):
+                    break
+                time.sleep(0.025)
+            assert job.state == "failed"
+            assert job.error.error == "AnalysisError"
+            assert "control_law" in job.error.message
+            assert "Traceback" not in job.error.message
+        finally:
+            scheduler.close()
+            pool.shutdown()
+
     def test_worker_failure_travels_back_as_server_error(self):
         scheduler = Scheduler()
         pool = WorkerPool(scheduler, jobs=1)
