@@ -96,10 +96,17 @@ class LRUCacheSimulator:
         Accesses spanning several lines count as a hit only if every line hits;
         every touched line is updated in LRU order.
         """
-        all_hit = True
-        for line in self.config.lines_touched(address, size):
-            if not self._access_line(line):
-                all_hit = False
+        line_size = self.config.line_size
+        first = address // line_size
+        last = (address + max(size, 1) - 1) // line_size
+        if first == last:
+            # Nearly every access (all aligned fetches) stays in one line.
+            all_hit = self._access_line(first)
+        else:
+            all_hit = True
+            for line in range(first, last + 1):
+                if not self._access_line(line):
+                    all_hit = False
         if all_hit:
             self.stats.hits += 1
         else:

@@ -340,16 +340,21 @@ class FunctionBuilder:
     # ------------------------------------------------------------------ #
     def build(self) -> Function:
         """Finalize and return the function (validates structure)."""
+        function = self._finish()
+        function.validate()
+        return function
+
+    def _finish(self) -> Function:
+        """Finalize the function without validating it (a program validates
+        every function it holds, see :meth:`ProgramBuilder.build`)."""
         if self._pending_label is not None:
             self._emit(Instruction(Opcode.NOP))
-        function = Function(
+        return Function(
             name=self.name,
             instructions=list(self._instructions),
             num_params=self.num_params,
             variadic=self.variadic,
         )
-        function.validate()
-        return function
 
 
 class ProgramBuilder:
@@ -391,10 +396,14 @@ class ProgramBuilder:
         return obj
 
     def build(self) -> Program:
-        """Assemble, validate and lay out the program."""
+        """Assemble, validate and lay out the program.
+
+        ``Program.validate`` validates each function, so the functions are
+        finalized unvalidated here: every function is validated once.
+        """
         program = Program(entry=self.entry)
         for name in self._order:
-            program.add_function(self._functions[name].build())
+            program.add_function(self._functions[name]._finish())
         for obj in self._data:
             program.add_data(obj)
         program.validate()

@@ -43,16 +43,21 @@ fleet (:mod:`repro.testing.fuzz`) rotates presets that switch them on:
 * ``allow_function_pointers`` — indirect calls through ``int *`` handler
   variables; :func:`render_case` compiles the rendered source to discover
   the ``icall`` instruction addresses and emits the matching ``calltargets``
-  control-flow hints (the strict CFG reconstruction path).
+  control-flow hints (the strict CFG reconstruction path).  It keeps that
+  compiled program on the :class:`RenderedCase`, so the oracle compiles each
+  generated program once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.annotations import AnnotationSet
+
+if TYPE_CHECKING:
+    from repro.ir.program import Program
 
 #: Length of every generated input/state array (a power of two so masked
 #: input-dependent indices are in bounds by construction).
@@ -262,6 +267,12 @@ class RenderedCase:
     source: str
     annotations: AnnotationSet
     line_count: int
+    #: The compiled program when rendering had to compile the source (to
+    #: place the ``calltargets`` hints of function-pointer sites), so the
+    #: oracle analyses and replays that program instead of compiling again;
+    #: ``None`` when the source has no function-pointer site or does not
+    #: compile.
+    program: Optional[Program] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -284,35 +295,37 @@ class _Emitter:
 
 
 def _attach_call_target_hints(
-    source: str, annotations: AnnotationSet, sites: List[Tuple[str, ...]]
-) -> None:
+    source: str, entry: str, annotations: AnnotationSet, sites: List[Tuple[str, ...]]
+) -> Optional[Program]:
     """Resolve the rendered function-pointer call sites to ``icall`` addresses.
 
     ``calltargets`` hints are keyed by instruction *address*, which only
     exists after compilation and layout.  Layout is deterministic and does
-    not depend on annotations, so compiling the rendered source once here
-    yields the final addresses: the Nth ``icall`` in address order is the Nth
-    function-pointer site in emission order (functions are laid out in
-    source order, statements in source order within them).  A source the
-    compiler rejects gets no hints — the oracle reports the compile error
-    itself.
+    not depend on annotations, so compiling the rendered source here (for
+    the case's own ``entry``) yields the final addresses: the Nth ``icall``
+    in address order is the Nth function-pointer site in emission order
+    (functions are laid out in source order, statements in source order
+    within them).  The compiled program is returned so the oracle can
+    analyse it without a second compile.  A source the compiler rejects
+    gets no hints and no program: the oracle compiles it itself and
+    reports the compile error.
     """
     from repro.minic import compile_source
 
     try:
-        program = compile_source(source)
+        program = compile_source(source, entry=entry)
     except Exception:  # noqa: BLE001 - the oracle owns compile diagnostics
-        return
+        return None
     addresses = sorted(
         instruction.address
         for function in program.functions.values()
         for instruction in function.instructions
         if instruction.opcode.value == "icall"
     )
-    if len(addresses) != len(sites):
-        return
-    for address, targets in zip(addresses, sites):
-        annotations.add_call_targets(address, targets)
+    if len(addresses) == len(sites):
+        for address, targets in zip(addresses, sites):
+            annotations.add_call_targets(address, targets)
+    return program
 
 
 def render_case(case: GeneratedCase) -> RenderedCase:
@@ -351,10 +364,16 @@ def render_case(case: GeneratedCase) -> RenderedCase:
             annotations.add_recursion_bound(function.name, function.recursion_depth)
 
     source = "\n".join(emitter.lines) + "\n"
+    program = None
     if emitter.fnptr_sites:
-        _attach_call_target_hints(source, annotations, emitter.fnptr_sites)
+        program = _attach_call_target_hints(
+            source, case.entry, annotations, emitter.fnptr_sites
+        )
     return RenderedCase(
-        source=source, annotations=annotations, line_count=len(emitter.lines)
+        source=source,
+        annotations=annotations,
+        line_count=len(emitter.lines),
+        program=program,
     )
 
 

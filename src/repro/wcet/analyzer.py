@@ -259,6 +259,8 @@ class WCETAnalyzer:
                 _shared.loops_by_function if _shared is not None else {}
             ),
             value_memo=(_shared.value_memo if _shared is not None else {}),
+            icache_memo=(_shared.icache_memo if _shared is not None else {}),
+            path_memo=(_shared.path_memo if _shared is not None else {}),
         )
 
         # ----------------------------------------------------------------- #
@@ -448,9 +450,16 @@ class WCETAnalyzer:
             icache_summary: Dict[str, int] = {}
             dcache_summary: Dict[str, int] = {}
             if self.processor.icache is not None and self.options.use_instruction_cache:
-                icache_result = InstructionCacheAnalysis(cfg, self.processor.icache, loops).run()
-                icache_classes = icache_result.classifications
-                icache_summary = icache_result.summary()
+                # Fetch classification reads only the CFG, its loops and the
+                # cache geometry, never the call context: one run per function.
+                icache_entry = run.icache_memo.get(name)
+                if icache_entry is None:
+                    icache_result = InstructionCacheAnalysis(
+                        cfg, self.processor.icache, loops
+                    ).run()
+                    icache_entry = (icache_result.classifications, icache_result.summary())
+                    run.icache_memo[name] = icache_entry
+                icache_classes, icache_summary = icache_entry
             if self.processor.dcache is not None and self.options.use_data_cache:
                 dcache_result = DataCacheAnalysis(
                     cfg, self.processor.dcache, accesses, self.processor.memory_map, loops
@@ -485,39 +494,60 @@ class WCETAnalyzer:
                 header: bound.max_back_edges for header, bound in bounds.bounds.items()
             }
 
-            ipet = IPETBuilder(cfg, loops)
-            solve_span = obs_trace.begin("simplex-solve", attrs={"function": name})
-            if self.options.compute_bcet:
-                # Both objectives share one constraint system and one phase-1
-                # feasibility basis.
-                wcet_result, bcet_result = ipet.solve_pair(
-                    table.wcet_weights(),
-                    table.bcet_weights(),
-                    loop_bound_map,
-                    infeasible_blocks=infeasible_blocks,
-                    infeasible_edges=infeasible_edges,
-                    flow_constraints=flow_constraints,
-                )
-                bcet_cycles = bcet_result.bound_cycles
-                pivots = wcet_result.ilp_pivots + bcet_result.ilp_pivots
-            else:
-                wcet_result = ipet.solve(
-                    table.wcet_weights(),
-                    loop_bound_map,
-                    infeasible_blocks=infeasible_blocks,
-                    infeasible_edges=infeasible_edges,
-                    flow_constraints=flow_constraints,
-                    maximise=True,
-                )
-                bcet_cycles = 0
-                pivots = wcet_result.ilp_pivots
-            if solve_span is not None:
-                solve_span.set("pivots", pivots)
-            obs_trace.end(solve_span)
-            run.counters["path analysis"] = (
-                run.counters.get("path analysis", 0) + pivots
+            # The LP is fixed by these inputs (the CFG and loops are fixed per
+            # function), so a context or mode that reproduces them reuses the
+            # solution instead of pivoting again.
+            infeasible_blocks = tuple(infeasible_blocks)
+            infeasible_edges = tuple(infeasible_edges)
+            flow_constraints = tuple(flow_constraints)
+            wcet_weights = table.wcet_weights()
+            bcet_weights = table.bcet_weights() if self.options.compute_bcet else None
+            path_key = (
+                name,
+                tuple(wcet_weights.items()),
+                tuple(bcet_weights.items()) if bcet_weights is not None else None,
+                tuple(loop_bound_map.items()),
+                infeasible_blocks,
+                infeasible_edges,
+                flow_constraints,
             )
-            _M_PIVOTS.inc(pivots)
+            path_entry = run.path_memo.get(path_key)
+            if path_entry is None:
+                ipet = IPETBuilder(cfg, loops)
+                solve_span = obs_trace.begin("simplex-solve", attrs={"function": name})
+                if bcet_weights is not None:
+                    # Both objectives share one constraint system and one
+                    # phase-1 feasibility basis.
+                    wcet_result, bcet_result = ipet.solve_pair(
+                        wcet_weights,
+                        bcet_weights,
+                        loop_bound_map,
+                        infeasible_blocks=infeasible_blocks,
+                        infeasible_edges=infeasible_edges,
+                        flow_constraints=flow_constraints,
+                    )
+                    pivots = wcet_result.ilp_pivots + bcet_result.ilp_pivots
+                else:
+                    wcet_result = ipet.solve(
+                        wcet_weights,
+                        loop_bound_map,
+                        infeasible_blocks=infeasible_blocks,
+                        infeasible_edges=infeasible_edges,
+                        flow_constraints=flow_constraints,
+                        maximise=True,
+                    )
+                    bcet_result = None
+                    pivots = wcet_result.ilp_pivots
+                if solve_span is not None:
+                    solve_span.set("pivots", pivots)
+                obs_trace.end(solve_span)
+                run.counters["path analysis"] = (
+                    run.counters.get("path analysis", 0) + pivots
+                )
+                _M_PIVOTS.inc(pivots)
+                path_entry = run.path_memo[path_key] = (wcet_result, bcet_result)
+            wcet_result, bcet_result = path_entry
+            bcet_cycles = bcet_result.bound_cycles if bcet_result is not None else 0
 
         unknown_accesses = sum(1 for info in accesses.values() if info.unknown)
         imprecise_accesses = sum(
@@ -541,8 +571,10 @@ class WCETAnalyzer:
             bcet_cycles=bcet_cycles,
             loop_reports=loop_reports,
             block_times=dict(table.times),
-            block_counts=wcet_result.block_counts,
-            icache_summary=icache_summary,
+            # Memo entries are shared between reports: each report gets its
+            # own copies of their dicts.
+            block_counts=dict(wcet_result.block_counts),
+            icache_summary=dict(icache_summary),
             dcache_summary=dcache_summary,
             unreachable_blocks=reachability.all_unreachable(),
             imprecise_accesses=imprecise_accesses,
@@ -966,12 +998,21 @@ class _SharedModeState:
     * ``value_memo`` — converged value analyses and pristine loop-bound
       results, keyed by ``(function, canonical entry-register values)``:
       the complete set of inputs the loop/value phase depends on once the
-      CFG is fixed.  Modes that only add path-level facts share every entry.
+      CFG is fixed.  Modes that only add path-level facts share every entry;
+    * ``icache_memo`` — instruction-cache classifications and their summary,
+      keyed by function: they depend on nothing but the CFG, its loops and
+      the cache geometry;
+    * ``path_memo`` — ``(wcet, bcet)`` IPET results keyed by the LP's
+      complete inputs (function, weights, loop bounds, infeasible blocks and
+      edges, resolved flow constraints).  ``bcet`` is ``None`` when only the
+      WCET objective was solved.
     """
 
     decoded: Optional[tuple] = None
     loops_by_function: Dict[str, LoopForest] = field(default_factory=dict)
     value_memo: Dict[tuple, tuple] = field(default_factory=dict)
+    icache_memo: Dict[str, tuple] = field(default_factory=dict)
+    path_memo: Dict[tuple, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -994,10 +1035,13 @@ class _RunState:
     #: Per-phase work counters (fixpoint iterations, simplex pivots) that
     #: end up on the matching :class:`PhaseTiming` entries.
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Loop forests / loop-value memo (shared across modes when the run is
-    #: part of an ``analyze_all_modes`` pipeline, run-local otherwise).
+    #: Loop forests and the loop/value, I-cache and path memos (shared
+    #: across modes when the run is part of an ``analyze_all_modes``
+    #: pipeline, run-local otherwise; see :class:`_SharedModeState`).
     loops_by_function: Dict[str, LoopForest] = field(default_factory=dict)
     value_memo: Dict[tuple, tuple] = field(default_factory=dict)
+    icache_memo: Dict[str, tuple] = field(default_factory=dict)
+    path_memo: Dict[tuple, tuple] = field(default_factory=dict)
     #: Every (context, report) registration of this run, in order; function
     #: summaries record the slice made inside their subtree so a cache hit
     #: can replay the exact same registrations.

@@ -102,6 +102,43 @@ class TestConcreteCache:
         cache = LRUCacheSimulator(config)
         assert config.lines_touched(0x1C, 8) == [1, 2]
 
+    def test_straddling_access_updates_both_lines(self):
+        cache = LRUCacheSimulator(CacheConfig("d", 4, 2, 16))
+        assert not cache.access(0x1C, 8)      # lines 1 and 2, both cold
+        assert cache.contains(0x10) and cache.contains(0x20)
+        assert cache.access(0x10, 4) and cache.access(0x20, 4)
+        cache.access(0x50, 4)                 # line 5: set 1, beside line 1
+        assert cache.access(0x1C, 8)          # both lines still cached
+        assert cache.age_of(0x10) == 0 and cache.age_of(0x50) == 1
+        assert (cache.stats.hits, cache.stats.misses) == (3, 2)
+
+    @given(
+        accesses=st.lists(
+            st.tuples(st.integers(0, 2**9), st.sampled_from([1, 2, 4, 8, 24])),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_access_matches_line_by_line_replay(self, accesses):
+        """Hit/miss verdicts and LRU state equal a replay of every touched
+        line through ``lines_touched``, single-line accesses included."""
+        config = CacheConfig("d", 2, 2, 16)
+        cache = LRUCacheSimulator(config)
+        sets = [[] for _ in range(config.num_sets)]
+        for address, size in accesses:
+            expected = True
+            for line in config.lines_touched(address, size):
+                ways = sets[line % config.num_sets]
+                if line in ways:
+                    ways.remove(line)
+                else:
+                    expected = False
+                ways.insert(0, line)
+                del ways[config.associativity:]
+            assert cache.access(address, size) == expected
+        assert cache.contents() == dict(enumerate(sets))
+
     def test_bad_geometry_rejected(self):
         with pytest.raises(TimingAnalysisError):
             CacheConfig("bad", 3, 2, 16)

@@ -207,6 +207,31 @@ class TestBuilder:
         assert set(labels) == {"first", "second"}
         assert program.function("main").instructions[0].opcode is Opcode.NOP
 
+    def test_build_validates_each_function_once(self, monkeypatch):
+        validated = []
+        original = Function.validate
+
+        def counting_validate(self):
+            validated.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(Function, "validate", counting_validate)
+        builder = ProgramBuilder()
+        builder.function("helper").ret()
+        fb = builder.function("main")
+        fb.call("helper")
+        fb.halt()
+        builder.build()
+        assert sorted(validated) == ["helper", "main"]
+
+    def test_function_added_to_program_is_validated(self):
+        program = Program(entry="main")
+        program.add_function(
+            Function("main", [Instruction(Opcode.NOP)])
+        )
+        with pytest.raises(IRError, match="does not end in a terminator"):
+            program.validate()
+
     def test_predicated_emission(self):
         builder = ProgramBuilder()
         fb = builder.function("main")
