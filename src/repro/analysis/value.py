@@ -204,7 +204,12 @@ class ValueAnalysis:
         self.assume_initial_globals = assume_initial_globals
         self.widen_after = widen_after
         self.max_iterations = max_iterations
-        self._recording: Optional[Dict[int, AccessInfo]] = None
+        # The memory-access appliers resolve and record accesses through this
+        # resolver, not through ``self``: no compiled closure refers back to
+        # the analysis, so the analysis (and the program and CFG it holds) is
+        # freed by reference counting, without waiting for the cyclic
+        # collector.
+        self._accesses = _AccessResolver(program)
         # Per-instruction transfer closures, compiled on first use.  A block
         # is re-interpreted once per fixpoint visit (typically 10-30 times),
         # so resolving opcode dispatch, operand kinds and immediate abstract
@@ -256,11 +261,11 @@ class ValueAnalysis:
         # to collect the abstract addresses of all memory accesses.  Only the
         # instruction effects matter here — edge propagation (branch
         # refinement, per-successor copies) is skipped.
-        self._recording = result.accesses
+        self._accesses.recording = result.accesses
         for block_id, in_state in fixpoint.block_in.items():
             if in_state.reachable:
                 self._run_block(block_id, in_state.copy())
-        self._recording = None
+        self._accesses.recording = None
 
         # Blocks never reached get explicit unreachable entry states.
         for block_id in self.cfg.node_ids():
@@ -367,7 +372,7 @@ class ValueAnalysis:
         if op in _NO_EFFECT_OPCODES:
             return _identity
         if op in (Opcode.CALL, Opcode.ICALL):
-            return self._apply_call
+            return _apply_call
 
         dest = instr.dest.name if instr.dest is not None else None
 
@@ -443,141 +448,24 @@ class ValueAnalysis:
                 return state
             return apply_constant
 
+        accesses = self._accesses
         if op in (Opcode.LOAD, Opcode.LOADB):
             get_pointer = self._abstract_getter(instr.operands[0])
 
             def apply_load(state: AbstractState) -> AbstractState:
-                return self._apply_load(instr, get_pointer(state), state)
+                return accesses.apply_load(instr, get_pointer(state), state)
             return apply_load
         if op in (Opcode.STORE, Opcode.STOREB):
             get_value = self._abstract_getter(instr.operands[0])
             get_pointer = self._abstract_getter(instr.operands[1])
 
             def apply_store(state: AbstractState) -> AbstractState:
-                return self._apply_store(
+                return accesses.apply_store(
                     instr, get_value(state), get_pointer(state), state
                 )
             return apply_store
 
         raise AnalysisError(f"value analysis: unhandled opcode {op.value!r}")
-
-    # ------------------------------------------------------------------ #
-    def _apply_call(self, state: AbstractState) -> AbstractState:
-        state.havoc_registers(CALLER_SAVED_REGISTERS)
-        # Callees may modify any global memory; only the caller's stack frame
-        # slots (addressed relative to the incoming stack pointer) survive.
-        state.memory.clobber_all(keep_bases={STACK_BASE})
-        return state
-
-    # ------------------------------------------------------------------ #
-    def _resolve_access(
-        self, pointer: AbstractValue, byte_offset: int
-    ) -> Tuple[FrozenSet[str], Interval, Interval, bool]:
-        """Return (bases, per-base offset interval, absolute interval, unknown)."""
-        if byte_offset:
-            offset = pointer.interval.add(Interval.const(byte_offset))
-        else:
-            offset = pointer.interval
-        if pointer.bases:
-            absolute = Interval.bottom()
-            for base in pointer.bases:
-                if base == STACK_BASE:
-                    base_abs = _STACK_ABSOLUTE
-                elif self.program.has_data(base):
-                    base_abs = offset.add(Interval.const(self.program.data(base).address))
-                elif self.program.has_function(base):
-                    base_abs = offset.add(
-                        Interval.const(self.program.function(base).entry_address)
-                    )
-                else:
-                    base_abs = Interval.top()
-                absolute = absolute.join(base_abs)
-            return pointer.bases, offset, absolute, False
-        if offset.is_constant:
-            address = offset.constant_value
-            obj = self.program.data_object_at(address) if address is not None else None
-            if obj is not None:
-                return (
-                    frozenset({obj.name}),
-                    Interval.const(address - obj.address),
-                    offset,
-                    False,
-                )
-            return frozenset(), offset, offset, False
-        if offset.is_finite:
-            return frozenset(), offset, offset, False
-        return frozenset(), offset, Interval.top(), True
-
-    def _record_access(
-        self, instr: Instruction, bases, offset, absolute, unknown
-    ) -> None:
-        if self._recording is None:
-            return
-        self._recording[instr.address] = AccessInfo(
-            instruction_address=instr.address,
-            is_load=instr.is_load,
-            size=WORD_SIZE if instr.opcode in (Opcode.LOAD, Opcode.STORE) else 1,
-            bases=frozenset(bases),
-            offset=offset,
-            absolute=absolute,
-            unknown=unknown,
-        )
-
-    def _apply_load(
-        self, instr: Instruction, pointer: AbstractValue, state: AbstractState
-    ) -> AbstractState:
-        bases, offset, absolute, unknown = self._resolve_access(pointer, instr.offset)
-        self._record_access(instr, bases, offset, absolute, unknown)
-        value = AbstractValue.top()
-        single = next(iter(bases)) if len(bases) == 1 else None
-        if single is not None and offset.is_constant:
-            value = state.memory.load(single, offset.constant_value)
-        if instr.opcode is Opcode.LOADB:
-            value = AbstractValue(value.interval.meet(Interval(0, 255)))
-            if value.interval.is_bottom:
-                value = AbstractValue(Interval(0, 255))
-        state.set(instr.dest.name, value)
-        return state
-
-    def _apply_store(
-        self,
-        instr: Instruction,
-        value: AbstractValue,
-        pointer: AbstractValue,
-        state: AbstractState,
-    ) -> AbstractState:
-        bases, offset, absolute, unknown = self._resolve_access(pointer, instr.offset)
-        self._record_access(instr, bases, offset, absolute, unknown)
-        if instr.opcode is Opcode.STOREB:
-            # Byte stores only partially update a word cell; treat as weak.
-            value = AbstractValue.top()
-        if unknown or not bases:
-            if offset.is_constant and bases:
-                pass  # handled below
-            elif unknown:
-                # A write through a completely unknown pointer destroys all
-                # knowledge about memory (Section 4.3, imprecise accesses).
-                state.memory.clobber_all()
-                return state
-        if len(bases) == 1 and offset.is_constant:
-            state.memory.store_strong(next(iter(bases)), offset.constant_value, value)
-            return state
-        if bases:
-            for base in bases:
-                state.memory.store_weak(base, value)
-                if offset.is_constant:
-                    continue
-                # Unknown offset within the object: existing knowledge about
-                # the object's cells can no longer be trusted to be precise,
-                # but joining the stored value in keeps soundness.
-            return state
-        # No symbolic base but a finite numeric address range: weak-update any
-        # data object the range may intersect.
-        for obj in self.program.data_objects.values():
-            object_range = Interval(obj.address, obj.address + obj.size - 1)
-            if not absolute.meet(object_range).is_bottom:
-                state.memory.store_weak(obj.name, value)
-        return state
 
     # ------------------------------------------------------------------ #
     # Edge propagation with branch refinement
@@ -729,6 +617,139 @@ class ValueAnalysis:
                 meet = lhs.meet(rhs)
                 set_value(lhs_op, meet)
                 set_value(rhs_op, meet)
+
+
+class _AccessResolver:
+    """Resolves and records the memory accesses of one value analysis.
+
+    The load and store appliers of :class:`ValueAnalysis` are compiled
+    against this object: it holds only the program and the dict that
+    collects :class:`AccessInfo` during the final recording pass, so the
+    closures refer to no object that refers back to them.
+    """
+
+    def __init__(self, program: Program):
+        self.program = program
+        #: ``instruction address -> AccessInfo`` while the recording pass
+        #: runs, ``None`` otherwise.
+        self.recording: Optional[Dict[int, AccessInfo]] = None
+
+    def resolve(
+        self, pointer: AbstractValue, byte_offset: int
+    ) -> Tuple[FrozenSet[str], Interval, Interval, bool]:
+        """Return (bases, per-base offset interval, absolute interval, unknown)."""
+        if byte_offset:
+            offset = pointer.interval.add(Interval.const(byte_offset))
+        else:
+            offset = pointer.interval
+        if pointer.bases:
+            absolute = Interval.bottom()
+            for base in pointer.bases:
+                if base == STACK_BASE:
+                    base_abs = _STACK_ABSOLUTE
+                elif self.program.has_data(base):
+                    base_abs = offset.add(Interval.const(self.program.data(base).address))
+                elif self.program.has_function(base):
+                    base_abs = offset.add(
+                        Interval.const(self.program.function(base).entry_address)
+                    )
+                else:
+                    base_abs = Interval.top()
+                absolute = absolute.join(base_abs)
+            return pointer.bases, offset, absolute, False
+        if offset.is_constant:
+            address = offset.constant_value
+            obj = self.program.data_object_at(address) if address is not None else None
+            if obj is not None:
+                return (
+                    frozenset({obj.name}),
+                    Interval.const(address - obj.address),
+                    offset,
+                    False,
+                )
+            return frozenset(), offset, offset, False
+        if offset.is_finite:
+            return frozenset(), offset, offset, False
+        return frozenset(), offset, Interval.top(), True
+
+    def record(
+        self, instr: Instruction, bases, offset, absolute, unknown
+    ) -> None:
+        if self.recording is None:
+            return
+        self.recording[instr.address] = AccessInfo(
+            instruction_address=instr.address,
+            is_load=instr.is_load,
+            size=WORD_SIZE if instr.opcode in (Opcode.LOAD, Opcode.STORE) else 1,
+            bases=frozenset(bases),
+            offset=offset,
+            absolute=absolute,
+            unknown=unknown,
+        )
+
+    def apply_load(
+        self, instr: Instruction, pointer: AbstractValue, state: AbstractState
+    ) -> AbstractState:
+        bases, offset, absolute, unknown = self.resolve(pointer, instr.offset)
+        self.record(instr, bases, offset, absolute, unknown)
+        value = AbstractValue.top()
+        single = next(iter(bases)) if len(bases) == 1 else None
+        if single is not None and offset.is_constant:
+            value = state.memory.load(single, offset.constant_value)
+        if instr.opcode is Opcode.LOADB:
+            value = AbstractValue(value.interval.meet(Interval(0, 255)))
+            if value.interval.is_bottom:
+                value = AbstractValue(Interval(0, 255))
+        state.set(instr.dest.name, value)
+        return state
+
+    def apply_store(
+        self,
+        instr: Instruction,
+        value: AbstractValue,
+        pointer: AbstractValue,
+        state: AbstractState,
+    ) -> AbstractState:
+        bases, offset, absolute, unknown = self.resolve(pointer, instr.offset)
+        self.record(instr, bases, offset, absolute, unknown)
+        if instr.opcode is Opcode.STOREB:
+            # Byte stores only partially update a word cell; treat as weak.
+            value = AbstractValue.top()
+        if unknown or not bases:
+            if offset.is_constant and bases:
+                pass  # handled below
+            elif unknown:
+                # A write through a completely unknown pointer destroys all
+                # knowledge about memory (Section 4.3, imprecise accesses).
+                state.memory.clobber_all()
+                return state
+        if len(bases) == 1 and offset.is_constant:
+            state.memory.store_strong(next(iter(bases)), offset.constant_value, value)
+            return state
+        if bases:
+            for base in bases:
+                state.memory.store_weak(base, value)
+                if offset.is_constant:
+                    continue
+                # Unknown offset within the object: existing knowledge about
+                # the object's cells can no longer be trusted to be precise,
+                # but joining the stored value in keeps soundness.
+            return state
+        # No symbolic base but a finite numeric address range: weak-update any
+        # data object the range may intersect.
+        for obj in self.program.data_objects.values():
+            object_range = Interval(obj.address, obj.address + obj.size - 1)
+            if not absolute.meet(object_range).is_bottom:
+                state.memory.store_weak(obj.name, value)
+        return state
+
+
+def _apply_call(state: AbstractState) -> AbstractState:
+    state.havoc_registers(CALLER_SAVED_REGISTERS)
+    # Callees may modify any global memory; only the caller's stack frame
+    # slots (addressed relative to the incoming stack pointer) survive.
+    state.memory.clobber_all(keep_bases={STACK_BASE})
+    return state
 
 
 def _unsigned_ok(a: AbstractValue, b: AbstractValue) -> bool:

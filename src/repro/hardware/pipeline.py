@@ -194,6 +194,12 @@ class TraceTimer:
     table; per-address memory-module lookups are memoised the same way.
     Construct one timer per (processor, program) pair and call :meth:`time`
     for every trace — the concrete cache simulators are fresh per call.
+
+    A fetch from the same I-cache line as the previous fetch is counted as a
+    hit without consulting the LRU simulator: that line is already the most
+    recently used one of its set, and data accesses go to a separate
+    simulator, so the access would change neither the cache state nor its
+    statistics beyond the hit itself.
     """
 
     def __init__(self, processor: ProcessorConfig, program: Program):
@@ -201,7 +207,8 @@ class TraceTimer:
         self.program = program
         program.ensure_layout()
         #: address -> (base cycles, is memory access, pays transfer penalty,
-        #: is conditional branch)
+        #: is conditional branch, I-cache line of the fetch or None when there
+        #: is no I-cache or the fetch spans two lines)
         self._static_costs: Optional[Dict[int, tuple]] = None
         #: data address -> (read latency, write latency, goes through dcache)
         self._module_info: Dict[int, tuple] = {}
@@ -210,14 +217,22 @@ class TraceTimer:
         table: Dict[int, tuple] = {}
         latency_of = self.processor.latency_of
         transfer_classes = (OpClass.BRANCH, OpClass.CALL, OpClass.RETURN)
+        icache = self.processor.icache
         for function in self.program:
             for instr in function.instructions:
                 op_class = instr.op_class
-                table[instr.address] = (
+                address = instr.address
+                fetch_line = None
+                if icache is not None:
+                    first = address // icache.line_size
+                    if first == (address + INSTRUCTION_SIZE - 1) // icache.line_size:
+                        fetch_line = first
+                table[address] = (
                     latency_of(op_class),
                     instr.is_memory_access,
                     op_class in transfer_classes,
                     instr.is_conditional_branch,
+                    fetch_line,
                 )
         self._static_costs = table
         return table
@@ -256,13 +271,23 @@ class TraceTimer:
         addresses = trace.instruction_addresses
         num_addresses = len(addresses)
 
+        # I-cache line the last simulated fetch touched (None if it spanned
+        # two lines) and the fetches that hit it again without simulation.
+        previous_line = None
+        same_line_hits = 0
+
         for position, address in enumerate(addresses):
-            base, is_memory, pays_transfer, is_conditional = costs[address]
+            base, is_memory, pays_transfer, is_conditional, fetch_line = costs[address]
 
             # --- fetch ------------------------------------------------- #
             if icache is not None:
-                hit = icache.access(address, INSTRUCTION_SIZE)
-                cycles += icache_hit_cycles if hit else code_latency
+                if fetch_line is not None and fetch_line == previous_line:
+                    same_line_hits += 1
+                    cycles += icache_hit_cycles
+                else:
+                    hit = icache.access(address, INSTRUCTION_SIZE)
+                    cycles += icache_hit_cycles if hit else code_latency
+                    previous_line = fetch_line
             else:
                 cycles += code_latency
 
@@ -300,6 +325,8 @@ class TraceTimer:
                 if taken:
                     cycles += branch_penalty
 
+        if icache is not None:
+            icache.stats.hits += same_line_hits
         return TraceTimingResult(
             cycles=cycles,
             instructions=num_addresses,

@@ -75,7 +75,7 @@ class FunctionBuilder:
         """Attach ``name`` as the label of the next emitted instruction."""
         if self._pending_label is not None:
             # Two labels on the same spot: emit a nop to carry the first one.
-            self._emit(Instruction(Opcode.NOP))
+            self._emit(Opcode.NOP)
         self._pending_label = name
         return self
 
@@ -96,58 +96,73 @@ class FunctionBuilder:
 
     def _emit(
         self,
-        instruction: Instruction,
+        opcode: Opcode,
+        dest: Optional[Reg] = None,
+        operands: tuple = (),
+        offset: int = 0,
         pred: Optional[RegLike] = None,
     ) -> Instruction:
-        extra = {}
-        if self._pending_label is not None:
-            extra["label"] = self._pending_label
-            self._pending_label = None
-        if self._pending_comment:
-            extra["comment"] = self._pending_comment
-            self._pending_comment = ""
-        if self._source_line:
-            extra["source_line"] = self._source_line
-        if pred is not None:
-            extra["pred"] = _reg(pred)
-        if extra:
-            instruction = Instruction(
-                opcode=instruction.opcode,
-                dest=instruction.dest,
-                operands=instruction.operands,
-                offset=instruction.offset,
-                label=extra.get("label", instruction.label),
-                comment=extra.get("comment", instruction.comment),
-                source_line=extra.get("source_line", instruction.source_line),
-                pred=extra.get("pred", instruction.pred),
-            )
+        """Build and append one instruction carrying the pending label and
+        comment and the current source line."""
+        label = self._pending_label
+        self._pending_label = None
+        comment = self._pending_comment
+        self._pending_comment = ""
+        instruction = Instruction(
+            opcode,
+            dest=dest,
+            operands=operands,
+            label=label,
+            pred=_reg(pred) if pred is not None else None,
+            offset=offset,
+            comment=comment,
+            source_line=self._source_line,
+        )
         self._instructions.append(instruction)
         return instruction
 
     def emit(self, instruction: Instruction) -> Instruction:
-        """Emit a pre-built instruction (label/comment pending state applies)."""
-        return self._emit(instruction)
+        """Emit a pre-built instruction.
+
+        A pending label or comment and the current source line replace the
+        instruction's own.
+        """
+        label = self._pending_label
+        comment = self._pending_comment
+        if label is not None or comment or self._source_line:
+            self._pending_label = None
+            self._pending_comment = ""
+            instruction = Instruction(
+                instruction.opcode,
+                dest=instruction.dest,
+                operands=instruction.operands,
+                label=label if label is not None else instruction.label,
+                pred=instruction.pred,
+                offset=instruction.offset,
+                comment=comment or instruction.comment,
+                source_line=self._source_line or instruction.source_line,
+            )
+        self._instructions.append(instruction)
+        return instruction
 
     # ------------------------------------------------------------------ #
     # Data movement
     # ------------------------------------------------------------------ #
     def mov(self, rd: RegLike, src: ValueLike, pred: Optional[RegLike] = None):
-        return self._emit(
-            Instruction(Opcode.MOV, dest=_reg(rd), operands=(_value(src),)), pred
-        )
+        return self._emit(Opcode.MOV, dest=_reg(rd), operands=(_value(src),), pred=pred)
 
     def la(self, rd: RegLike, symbol: str, pred: Optional[RegLike] = None):
-        return self._emit(
-            Instruction(Opcode.LA, dest=_reg(rd), operands=(Sym(symbol),)), pred
-        )
+        return self._emit(Opcode.LA, dest=_reg(rd), operands=(Sym(symbol),), pred=pred)
 
     # ------------------------------------------------------------------ #
     # Integer ALU
     # ------------------------------------------------------------------ #
     def _binary(self, opcode: Opcode, rd: RegLike, ra: ValueLike, rb: ValueLike, pred):
         return self._emit(
-            Instruction(opcode, dest=_reg(rd), operands=(_value(ra), _value(rb))),
-            pred,
+            opcode,
+            dest=_reg(rd),
+            operands=(_value(ra), _value(rb)),
+            pred=pred,
         )
 
     def add(self, rd, ra, rb, pred=None):
@@ -190,14 +205,10 @@ class FunctionBuilder:
         return self._binary(Opcode.SRA, rd, ra, rb, pred)
 
     def not_(self, rd, ra, pred=None):
-        return self._emit(
-            Instruction(Opcode.NOT, dest=_reg(rd), operands=(_value(ra),)), pred
-        )
+        return self._emit(Opcode.NOT, dest=_reg(rd), operands=(_value(ra),), pred=pred)
 
     def neg(self, rd, ra, pred=None):
-        return self._emit(
-            Instruction(Opcode.NEG, dest=_reg(rd), operands=(_value(ra),)), pred
-        )
+        return self._emit(Opcode.NEG, dest=_reg(rd), operands=(_value(ra),), pred=pred)
 
     # ------------------------------------------------------------------ #
     # Comparisons
@@ -242,19 +253,13 @@ class FunctionBuilder:
         return self._binary(Opcode.FDIV, rd, ra, rb, pred)
 
     def fneg(self, rd, ra, pred=None):
-        return self._emit(
-            Instruction(Opcode.FNEG, dest=_reg(rd), operands=(_value(ra),)), pred
-        )
+        return self._emit(Opcode.FNEG, dest=_reg(rd), operands=(_value(ra),), pred=pred)
 
     def itof(self, rd, ra, pred=None):
-        return self._emit(
-            Instruction(Opcode.ITOF, dest=_reg(rd), operands=(_value(ra),)), pred
-        )
+        return self._emit(Opcode.ITOF, dest=_reg(rd), operands=(_value(ra),), pred=pred)
 
     def ftoi(self, rd, ra, pred=None):
-        return self._emit(
-            Instruction(Opcode.FTOI, dest=_reg(rd), operands=(_value(ra),)), pred
-        )
+        return self._emit(Opcode.FTOI, dest=_reg(rd), operands=(_value(ra),), pred=pred)
 
     def fseq(self, rd, ra, rb, pred=None):
         return self._binary(Opcode.FSEQ, rd, ra, rb, pred)
@@ -273,69 +278,67 @@ class FunctionBuilder:
     # ------------------------------------------------------------------ #
     def load(self, rd: RegLike, base: RegLike, offset: int = 0, pred=None):
         return self._emit(
-            Instruction(
-                Opcode.LOAD, dest=_reg(rd), operands=(_reg(base),), offset=offset
-            ),
-            pred,
+            Opcode.LOAD,
+            dest=_reg(rd),
+            operands=(_reg(base),),
+            offset=offset,
+            pred=pred,
         )
 
     def store(self, rs: RegLike, base: RegLike, offset: int = 0, pred=None):
         return self._emit(
-            Instruction(
-                Opcode.STORE, operands=(_reg(rs), _reg(base)), offset=offset
-            ),
-            pred,
+            Opcode.STORE,
+            operands=(_reg(rs), _reg(base)),
+            offset=offset,
+            pred=pred,
         )
 
     def loadb(self, rd: RegLike, base: RegLike, offset: int = 0, pred=None):
         return self._emit(
-            Instruction(
-                Opcode.LOADB, dest=_reg(rd), operands=(_reg(base),), offset=offset
-            ),
-            pred,
+            Opcode.LOADB,
+            dest=_reg(rd),
+            operands=(_reg(base),),
+            offset=offset,
+            pred=pred,
         )
 
     def storeb(self, rs: RegLike, base: RegLike, offset: int = 0, pred=None):
         return self._emit(
-            Instruction(
-                Opcode.STOREB, operands=(_reg(rs), _reg(base)), offset=offset
-            ),
-            pred,
+            Opcode.STOREB,
+            operands=(_reg(rs), _reg(base)),
+            offset=offset,
+            pred=pred,
         )
 
     # ------------------------------------------------------------------ #
     # Control flow
     # ------------------------------------------------------------------ #
     def br(self, target: str):
-        return self._emit(Instruction(Opcode.BR, operands=(Label(target),)))
+        return self._emit(Opcode.BR, operands=(Label(target),))
 
     def bt(self, cond: RegLike, target: str):
-        return self._emit(
-            Instruction(Opcode.BT, operands=(_reg(cond), Label(target)))
-        )
+        return self._emit(Opcode.BT, operands=(_reg(cond), Label(target)))
 
     def bf(self, cond: RegLike, target: str):
-        return self._emit(
-            Instruction(Opcode.BF, operands=(_reg(cond), Label(target)))
-        )
+        return self._emit(Opcode.BF, operands=(_reg(cond), Label(target)))
 
     def ibr(self, target_reg: RegLike):
-        return self._emit(Instruction(Opcode.IBR, operands=(_reg(target_reg),)))
+        return self._emit(Opcode.IBR, operands=(_reg(target_reg),))
 
     def call(self, function_name: str):
-        return self._emit(Instruction(Opcode.CALL, operands=(Sym(function_name),)))
+        return self._emit(Opcode.CALL, operands=(Sym(function_name),))
 
     def icall(self, target_reg: RegLike):
-        return self._emit(Instruction(Opcode.ICALL, operands=(_reg(target_reg),)))
+        return self._emit(Opcode.ICALL, operands=(_reg(target_reg),))
 
     def ret(self):
-        return self._emit(Instruction(Opcode.RET))
+        return self._emit(Opcode.RET)
 
     def halt(self):
-        return self._emit(Instruction(Opcode.HALT))
+        return self._emit(Opcode.HALT)
 
     def nop(self, pred=None):
-        return self._emit(Instruction(Opcode.NOP), pred)
+        return self._emit(Opcode.NOP, pred=pred)
 
     # ------------------------------------------------------------------ #
     def build(self) -> Function:
@@ -348,7 +351,7 @@ class FunctionBuilder:
         """Finalize the function without validating it (a program validates
         every function it holds, see :meth:`ProgramBuilder.build`)."""
         if self._pending_label is not None:
-            self._emit(Instruction(Opcode.NOP))
+            self._emit(Opcode.NOP)
         return Function(
             name=self.name,
             instructions=list(self._instructions),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import IRError
 
@@ -256,17 +256,38 @@ _OPCLASS_TABLE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Reg:
-    """A register operand."""
+    """A register operand.
+
+    Operands are interned: every spelling of a register (``"sp"``,
+    ``"r29"``) yields the same object, so :func:`canonical_register` runs
+    once per distinct spelling rather than once per operand.
+    """
 
     name: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", canonical_register(self.name))
+    def __new__(cls, name: str) -> "Reg":
+        register = _INTERNED_REGISTERS.get(name)
+        if register is None:
+            canonical = canonical_register(name)
+            register = _INTERNED_REGISTERS.get(canonical)
+            if register is None:
+                register = object.__new__(cls)
+                object.__setattr__(register, "name", canonical)
+                _INTERNED_REGISTERS[canonical] = register
+            _INTERNED_REGISTERS[name] = register
+        return register
+
+    def __reduce__(self):
+        return (Reg, (self.name,))
 
     def __str__(self) -> str:
         return self.name
+
+
+#: Spelling -> interned :class:`Reg` (see :meth:`Reg.__new__`).
+_INTERNED_REGISTERS: Dict[str, Reg] = {}
 
 
 @dataclass(frozen=True)

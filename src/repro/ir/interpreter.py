@@ -24,6 +24,7 @@ Semantics
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -81,6 +82,7 @@ class ExecutionTrace:
     ``instruction_addresses`` is the sequence of fetched instruction addresses
     (the program path); ``memory_accesses`` the data accesses in program order.
     Both are consumed by the concrete cache/pipeline simulators.
+    ``block_counts`` maps every fetched address to its number of fetches.
     """
 
     instruction_addresses: List[int] = field(default_factory=list)
@@ -192,21 +194,16 @@ class Interpreter:
     max_steps:
         Execution is aborted with :class:`ExecutionError` after this many
         instructions — a safety net for diverging workloads under test.
-    trace_instructions:
-        Set to ``False`` to skip recording the full instruction trace (block
-        counts are still collected); useful for very long runs.
+
+    Every run records the full instruction trace; the per-address execution
+    counts (``trace.block_counts``) are derived from it once, when the run
+    ends, rather than updated on every step.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        max_steps: int = 2_000_000,
-        trace_instructions: bool = True,
-    ):
+    def __init__(self, program: Program, max_steps: int = 2_000_000):
         program.validate()
         self.program = program
         self.max_steps = max_steps
-        self.trace_instructions = trace_instructions
         #: address -> (predicate register name or None, step closure).
         self._decoded: Dict[int, tuple] = {}
         for function in program:
@@ -272,9 +269,7 @@ class Interpreter:
         # Local bindings for the hot loop.
         decoded = self._decoded
         max_steps = self.max_steps
-        trace_instructions = self.trace_instructions
         record = trace.instruction_addresses.append
-        block_counts = trace.block_counts
         registers = state.registers
         to_int = self._int
 
@@ -289,9 +284,7 @@ class Interpreter:
                 self.program.function_at(pc).instruction_at(pc)
                 raise ExecutionError(f"cannot decode instruction at {pc:#x}")
             steps += 1
-            if trace_instructions:
-                record(pc)
-            block_counts[pc] = block_counts.get(pc, 0) + 1
+            record(pc)
 
             pred_name, step = entry
             if pred_name is not None and to_int(registers[pred_name]) == 0:
@@ -310,6 +303,7 @@ class Interpreter:
             else:
                 pc = control
 
+        trace.block_counts = Counter(trace.instruction_addresses)
         return ExecutionResult(
             return_value=self._int(state.get_register(RETURN_VALUE_REGISTER)),
             steps=steps,

@@ -137,7 +137,7 @@ class FloatLiteral(Expr):
 @dataclass
 class Identifier(Expr):
     name: str = ""
-    #: Resolved declaration (VarDecl, Parameter or FunctionDef); set by the
+    #: Resolved declaration (VarDecl, Parameter or FunctionRef); set by the
     #: type checker.
     decl: Optional[object] = None
 
@@ -301,6 +301,19 @@ class FunctionDef:
         )
 
 
+@dataclass(frozen=True)
+class FunctionRef:
+    """What an identifier naming a function resolves to.
+
+    The type checker resolves such an identifier to this record, not to the
+    :class:`FunctionDef`: in a recursive function the definition contains an
+    identifier that would refer back to it, a reference cycle.
+    """
+
+    name: str
+    function_type: FunctionType
+
+
 Node = Union[Stmt, Expr, VarDecl, FunctionDef]
 
 
@@ -375,20 +388,28 @@ def child_nodes(node: object) -> List[object]:
         names = tuple(
             name for name in vars(node) if name not in _NON_CHILD_ATTRIBUTES
         )
-    def add_from_list(values: list) -> None:
-        for item in values:
-            if isinstance(item, child_types):
-                append(item)
-            elif isinstance(item, list):
-                add_from_list(item)
-
     for name in names:
         value = getattr(node, name)
         if isinstance(value, child_types):
             append(value)
         elif isinstance(value, list):
-            add_from_list(value)
+            _add_from_list(value, child_types, append)
     return children
+
+
+def _add_from_list(values: list, child_types: tuple, append) -> None:
+    """Append the AST nodes of a (possibly nested) list field in order.
+
+    A module-level function rather than a closure in :func:`child_nodes`: a
+    self-recursive nested function is a reference cycle (the function's cell
+    refers to the function), so every call would leave garbage behind for the
+    cyclic collector.
+    """
+    for item in values:
+        if isinstance(item, child_types):
+            append(item)
+        elif isinstance(item, list):
+            _add_from_list(item, child_types, append)
 
 
 def walk(node: object):

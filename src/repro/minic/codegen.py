@@ -629,7 +629,7 @@ class _FunctionEmitter:
     # ------------------------------------------------------------------ #
     def _emit_identifier(self, expr: ast.Identifier) -> _Value:
         declaration = expr.decl
-        if isinstance(declaration, ast.FunctionDef):
+        if isinstance(declaration, ast.FunctionRef):
             register = self.temps.alloc()
             self.fb.la(register, declaration.name)
             return _Value(register=register, owned=True)
@@ -680,7 +680,7 @@ class _FunctionEmitter:
                 register = self.temps.alloc()
                 self.fb.la(register, declaration.name)
                 return _Value(register=register, owned=True), is_float
-            if isinstance(declaration, ast.FunctionDef):
+            if isinstance(declaration, ast.FunctionRef):
                 register = self.temps.alloc()
                 self.fb.la(register, declaration.name)
                 return _Value(register=register, owned=True), False
@@ -963,7 +963,7 @@ class _FunctionEmitter:
 
         direct_name: Optional[str] = None
         if isinstance(callee, ast.Identifier):
-            if isinstance(callee.decl, ast.FunctionDef):
+            if isinstance(callee.decl, ast.FunctionRef):
                 direct_name = callee.decl.name
             elif callee.decl is None:
                 direct_name = callee.name   # builtin (malloc, setjmp, ...)

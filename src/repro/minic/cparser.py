@@ -33,6 +33,11 @@ _BINARY_LEVELS: List[List[str]] = [
     ["*", "/", "%"],
 ]
 
+#: Binary operator -> its index in :data:`_BINARY_LEVELS`.
+_BINARY_PRECEDENCE = {
+    op: level for level, operators in enumerate(_BINARY_LEVELS) for op in operators
+}
+
 
 class _Parser:
     def __init__(self, tokens: List[Token], source_name: str):
@@ -400,18 +405,23 @@ class _Parser:
             raise self.error("the conditional operator '?:' is not supported by mini-C")
         return target
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        operators = _BINARY_LEVELS[level]
-        while self.current.kind is TokenKind.PUNCT and self.current.text in operators:
-            op_token = self.advance()
+    def parse_binary(self, min_level: int) -> ast.Expr:
+        """Parse a binary expression whose operators bind at ``min_level`` or
+        tighter, by precedence climbing: one call per operand instead of one
+        per precedence level.  All operators are left-associative."""
+        left = self.parse_unary()
+        while True:
+            op_token = self.current
+            if op_token.kind is not TokenKind.PUNCT:
+                return left
+            level = _BINARY_PRECEDENCE.get(op_token.text)
+            if level is None or level < min_level:
+                return left
+            self.advance()
             right = self.parse_binary(level + 1)
             left = ast.BinaryExpr(
                 line=op_token.line, op=op_token.text, left=left, right=right
             )
-        return left
 
     def parse_unary(self) -> ast.Expr:
         token = self.current

@@ -199,13 +199,15 @@ class TypeChecker:
             declaration = scope.lookup(expr.name)
             if declaration is None:
                 raise TypeCheckError(f"undeclared identifier {expr.name!r}", expr.line)
+            if isinstance(declaration, ast.FunctionDef):
+                function_type = declaration.function_type()
+                expr.decl = ast.FunctionRef(declaration.name, function_type)
+                return function_type
             expr.decl = declaration
             if isinstance(declaration, ast.VarDecl):
                 return declaration.var_type
             if isinstance(declaration, ast.Parameter):
                 return declaration.param_type
-            if isinstance(declaration, ast.FunctionDef):
-                return declaration.function_type()
             raise TypeCheckError(f"cannot use {expr.name!r} in an expression", expr.line)
         if isinstance(expr, ast.UnaryExpr):
             return self._infer_unary(expr, scope)
@@ -236,8 +238,8 @@ class TypeChecker:
             target = expr.operand
             if isinstance(target, ast.Identifier) and isinstance(target.decl, ast.VarDecl):
                 target.decl.address_taken = True
-            if isinstance(target, ast.Identifier) and isinstance(target.decl, ast.FunctionDef):
-                return ast.PointerType(target.decl.function_type())
+            if isinstance(target, ast.Identifier) and isinstance(target.decl, ast.FunctionRef):
+                return ast.PointerType(target.decl.function_type)
             return ast.PointerType(operand_type)
         if expr.op == "*":
             if isinstance(operand_type, ast.PointerType):
@@ -297,9 +299,9 @@ class TypeChecker:
                 raise TypeCheckError(
                     f"call to undeclared function {callee.name!r}", expr.line
                 )
-            callee.decl = declaration
             if isinstance(declaration, ast.FunctionDef):
                 callee.ctype = declaration.function_type()
+                callee.decl = ast.FunctionRef(declaration.name, callee.ctype)
                 if not declaration.variadic and len(expr.arguments) != len(
                     declaration.parameters
                 ):
@@ -309,6 +311,7 @@ class TypeChecker:
                         expr.line,
                     )
                 return declaration.return_type
+            callee.decl = declaration
             # Calling through a function-pointer variable.
             var_type = (
                 declaration.var_type

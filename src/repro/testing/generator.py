@@ -253,6 +253,10 @@ class GeneratedCase:
     def input_variables(self) -> List[GlobalVar]:
         return [g for g in self.globals_ if g.is_input]
 
+    def rendered(self) -> "RenderedCase":
+        """The case's source and annotations (see :func:`render_case`)."""
+        return render_case(self)
+
     def function(self, name: str) -> GFunction:
         for function in self.functions:
             if function.name == name:

@@ -2,10 +2,11 @@
 
 For one program (generated or from the corpus) the oracle:
 
-1. compiles the mini-C source (once: a program :func:`render_case` already
-   compiled is reused) through the full static pipeline and runs the WCET
-   analyzer (mini-C → IR → CFG → value/loop analysis → cache/pipeline →
-   IPET), obtaining WCET and BCET bounds;
+1. compiles the mini-C source (once: a program that
+   :func:`~repro.testing.generator.render_case` already compiled is reused)
+   through the full static pipeline and runs the WCET analyzer (mini-C →
+   IR → CFG → value/loop analysis → cache/pipeline → IPET), obtaining WCET
+   and BCET bounds;
 2. systematically enumerates concrete input vectors for the program's
    declared input globals;
 3. replays the program in the concrete interpreter for every vector, times
@@ -41,7 +42,7 @@ from repro.ir import Interpreter
 from repro.ir.program import Program
 from repro.cfg.loops import find_loops
 from repro.cfg.reconstruct import reconstruct_program
-from repro.testing.generator import GeneratedCase, GlobalVar, render_case
+from repro.testing.generator import GeneratedCase, GlobalVar, RenderedCase
 from repro.wcet.report import WCETReport
 
 #: Safety margin multiplier applied to the product-of-ancestor-bounds when
@@ -203,14 +204,17 @@ class DifferentialOracle:
         )
 
     # ------------------------------------------------------------------ #
-    def check(self, case) -> OracleResult:
+    def check(
+        self, case, rendered: Optional[RenderedCase] = None
+    ) -> OracleResult:
         """Run the full differential check for one case.
 
         ``case`` is a :class:`~repro.testing.generator.GeneratedCase` or any
         object with the same duck-typed surface (``name``, ``seed``,
-        ``entry``, ``max_steps``, ``input_variables()`` and either a model
-        renderable by :func:`render_case` or its own ``rendered()`` method —
-        corpus cases provide the latter).
+        ``entry``, ``max_steps``, ``input_variables()`` and ``rendered()`` —
+        corpus cases provide it too).  A caller that already rendered the
+        case passes the rendering as ``rendered``, so the case is neither
+        rendered nor (for a function-pointer case) compiled a second time.
         """
         result = OracleResult(case_name=case.name, seed=case.seed)
         processor = self.config.processor_factory()
@@ -218,9 +222,7 @@ class DifferentialOracle:
         # "compile" is timed from rendering on: a function-pointer case is
         # compiled while it is rendered.
         started = time.perf_counter()
-        if isinstance(case, GeneratedCase):
-            rendered = render_case(case)
-        else:
+        if rendered is None:
             rendered = case.rendered()
         result.source = rendered.source
         # The oracle is a thin consumer of the repro.api facade; cache="off"

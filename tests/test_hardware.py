@@ -28,6 +28,7 @@ from repro.hardware import (
 )
 from repro.hardware.memory import default_memory_map
 from repro.ir import Interpreter, parse_assembly
+from repro.ir.instructions import INSTRUCTION_SIZE
 from repro.ir.program import CODE_BASE, DATA_BASE, DEVICE_BASE
 
 
@@ -272,6 +273,22 @@ class TestPipeline:
         result = Interpreter(counter_loop_program).run()
         timing = TraceTimer(cached_processor, counter_loop_program).time(result.trace)
         assert timing.icache_stats is not None and timing.icache_stats.accesses > 0
+
+    @pytest.mark.parametrize("line_size", [4, 8, 16, 32])
+    def test_trace_timer_fetches_match_full_simulation(
+        self, counter_loop_program, line_size
+    ):
+        # Fetches from the line of the previous fetch skip the simulator; the
+        # statistics must equal simulating every fetch.
+        icache = CacheConfig("icache", num_sets=4, associativity=2, line_size=line_size)
+        processor = leon2_like().with_caches(icache, None)
+        trace = Interpreter(counter_loop_program).run().trace
+        timing = TraceTimer(processor, counter_loop_program).time(trace)
+        reference = LRUCacheSimulator(icache)
+        for address in trace.instruction_addresses:
+            reference.access(address, INSTRUCTION_SIZE)
+        assert timing.icache_stats == reference.stats
+        assert timing.icache_stats.hits > 0 and timing.icache_stats.misses > 0
 
     def test_processor_presets_are_distinct(self):
         names = {p().name for p in (simple_scalar, leon2_like, mpc5554_like, hcs12x_like)}

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AssemblyError, ExecutionError, IRError
+from repro.ir import builder as builder_module
 from repro.ir import (
     Imm,
     Instruction,
     Interpreter,
     Label,
+    FunctionBuilder,
     Opcode,
     ProgramBuilder,
     Reg,
@@ -50,6 +56,16 @@ class TestRegisters:
     def test_non_register_rejected(self):
         with pytest.raises(IRError):
             canonical_register("x1")
+        with pytest.raises(IRError):
+            Reg("x1")
+
+    def test_register_operands_are_interned(self):
+        assert Reg("sp") is Reg("r29") is Reg("R29")
+        assert Reg("r3") == Reg("R3") and hash(Reg("r3")) == hash(Reg("R3"))
+        assert pickle.loads(pickle.dumps(Reg("fp"))) is Reg("r30")
+        assert copy.deepcopy(Reg("r3")) is Reg("r3")
+        assert dataclasses.replace(Reg("r3"), name="lr") is Reg("r31")
+        assert repr(Reg("lr")) == "Reg(name='r31')"
 
 
 class TestInstruction:
@@ -231,6 +247,45 @@ class TestBuilder:
         )
         with pytest.raises(IRError, match="does not end in a terminator"):
             program.validate()
+
+    def test_each_emission_builds_one_instruction(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            instruction = Instruction(*args, **kwargs)
+            built.append(instruction.opcode)
+            return instruction
+
+        monkeypatch.setattr(builder_module, "Instruction", counting)
+        fb = FunctionBuilder("main")
+        fb.at_line(4)
+        fb.label("top")
+        fb.comment("count")
+        added = fb.add("r3", "r3", 1, pred="r9")
+        fb.halt()
+        assert built == [Opcode.ADD, Opcode.HALT]
+        assert (added.label, added.comment, added.source_line, added.pred) == (
+            "top",
+            "count",
+            4,
+            Reg("r9"),
+        )
+
+    def test_emit_prebuilt_instruction(self):
+        fb = FunctionBuilder("main")
+        own = Instruction(Opcode.NOP, label="own", comment="mine", source_line=3)
+        assert fb.emit(own) is own
+        fb.at_line(7)
+        fb.label("next")
+        fb.comment("note")
+        relabelled = fb.emit(own)
+        assert (relabelled.label, relabelled.comment, relabelled.source_line) == (
+            "next",
+            "note",
+            7,
+        )
+        kept = fb.emit(own)
+        assert (kept.label, kept.comment, kept.source_line) == ("own", "mine", 7)
 
     def test_predicated_emission(self):
         builder = ProgramBuilder()

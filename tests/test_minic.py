@@ -88,6 +88,34 @@ class TestParser:
         ret = unit.function("main").body.statements[0]
         assert isinstance(ret.value, ast.BinaryExpr) and ret.value.op == "+"
 
+    @pytest.mark.parametrize(
+        "expression, tree",
+        [
+            ("a - b - c", "((a - b) - c)"),
+            ("a + b * c - a", "((a + (b * c)) - a)"),
+            ("a || b && c", "(a || (b && c))"),
+            (
+                "a - b - c * a << 1 < b == c & a ^ b | c && a || b",
+                "((((((((((a - b) - (c * a)) << 1) < b) == c) & a) ^ b) | c)"
+                " && a) || b)",
+            ),
+            ("a * (b + c) % 3", "((a * (b + c)) % 3)"),
+            ("-a * b", "(-a * b)"),
+        ],
+    )
+    def test_binary_precedence_and_associativity(self, expression, tree):
+        def shown(node):
+            if isinstance(node, ast.BinaryExpr):
+                return f"({shown(node.left)} {node.op} {shown(node.right)})"
+            if isinstance(node, ast.UnaryExpr):
+                return f"{node.op}{shown(node.operand)}"
+            if isinstance(node, ast.Identifier):
+                return node.name
+            return str(node.value)
+
+        unit = parse_source(f"int f(int a, int b, int c) {{ return {expression}; }}")
+        assert shown(unit.function("f").body.statements[0].value) == tree
+
     def test_missing_semicolon_is_an_error(self):
         with pytest.raises(ParseError):
             parse_source("int main(void) { return 0 }")

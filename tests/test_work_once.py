@@ -1,7 +1,9 @@
 """Each program's work is done once.
 
 A generated program is compiled once per oracle check, even when rendering
-has to compile it to place the ``calltargets`` hints.  Within one analysis,
+has to compile it to place the ``calltargets`` hints, and once per program
+in ``repro fuzz``, which hands the oracle the rendering it made for the
+server.  Within one analysis,
 a function's instruction-cache analysis runs once however many call
 contexts re-analyse it, and an IPET LP is solved once per distinct set of
 inputs.  Memo hits must hand every report its own mutable parts.
@@ -9,6 +11,7 @@ inputs.  Memo hits must hand every report its own mutable parts.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import pytest
@@ -19,7 +22,7 @@ from repro.hardware.cache_analysis import InstructionCacheAnalysis
 from repro.hardware.processor import leon2_like
 from repro.minic import compile_source
 from repro.minic.codegen import CodeGenerator
-from repro.testing.fuzz import default_presets
+from repro.testing.fuzz import default_presets, run_fuzz
 from repro.testing.generator import generate_case, render_case
 from repro.testing.oracle import DifferentialOracle, OracleConfig
 from repro.wcet import analyzer as analyzer_module
@@ -91,6 +94,31 @@ class TestOneCompile:
         assert result.ok, result.summary()
         assert len(generated) == 1
         assert result.timings["compile"] > 0.0
+
+    def test_fuzz_generates_code_once_per_program(self, monkeypatch, tmp_path):
+        fnptr = _preset_mix("fnptr")
+        assert render_case(generate_case(FNPTR_SEED, mix=fnptr)).program
+        # The server analyses its own copy in other threads; count only the
+        # compiles of this thread, which renders and checks each program.
+        main = threading.main_thread()
+        generated = _count_calls(
+            monkeypatch,
+            CodeGenerator,
+            "generate",
+            key=lambda *args: threading.current_thread() is main,
+        )
+        summary = run_fuzz(
+            programs=2,
+            jobs=1,
+            base_seed=FNPTR_SEED,
+            inputs=1,
+            presets=[p for p in default_presets() if p.name == "fnptr"],
+            shrink=False,
+            save_corpus=False,
+            corpus_dir=str(tmp_path),
+        )
+        assert summary.ok, summary.to_json()
+        assert sum(generated) == 2
 
 
 # --------------------------------------------------------------------------- #
